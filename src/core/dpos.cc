@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
-#include <map>
 #include <queue>
-#include <unordered_map>
 
 #include "core/rank.h"
 #include "core/timeline.h"
@@ -62,19 +60,15 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
   for (OpId id : g.LiveOps())
     mem_need[static_cast<size_t>(id)] = MemNeed(g, id);
 
-  // Candidate-device loops fan out across the search pool when wide enough;
-  // each device writes its verdict into its own slot and the reduction runs
+  // The CP prefix scan walks the whole remaining critical path per device,
+  // so it fans out across the search pool from a handful of devices; each
+  // device writes its verdict into its own slot and the reduction runs
   // serially in ascending device order, so the chosen device is identical
-  // for any thread count (--jobs 1 is the reference semantics).
-  //
-  // The two loops have very different grain. The CP prefix scan walks the
-  // whole remaining critical path per device, so it pays off from a handful
-  // of devices. Per-pop candidate scoring is O(fan-in) per device — a few
-  // microseconds — and runs once per placed op (tens of thousands of times),
-  // so below ~16 devices the pool hand-off costs more than the scan and the
-  // loop must stay inline.
+  // for any thread count (--jobs 1 is the reference semantics). Per-pop
+  // candidate scoring stays serial: it is O(fan-in) per device, well under a
+  // microsecond, and a pool hand-off per placed op costs more than scoring
+  // every device.
   constexpr size_t kMinParallelDevices = 4;
-  constexpr size_t kMinParallelScoreDevices = 16;
 
   DposResult result;
   {
@@ -99,7 +93,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
   // Walk the CP, and for the ops not yet assigned pick the device with the
   // smallest average compute time over the longest prefix it can host; when
   // its memory fills, pick the next CP device for the remainder.
-  std::unordered_map<OpId, DeviceId> cp_device;
+  TaggedVector<DeviceId> cp_device(slots, kInvalidDevice);
   if (options.use_critical_path_device) {
     FASTT_TRACE_SPAN("dpos/cp_device");
     struct CpCandidate {
@@ -150,7 +144,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
       }
       for (size_t i = pos; i < pos + best_count; ++i) {
         const OpId id = result.critical_path[i];
-        cp_device[id] = best;
+        cp_device[static_cast<size_t>(id)] = best;
         planned_mem[static_cast<size_t>(best)] +=
             mem_need[static_cast<size_t>(id)];
       }
@@ -161,7 +155,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
   // ---- List scheduling ------------------------------------------------------
   // Rank-ordered priority queue, gated by precedence (an op becomes eligible
   // once all predecessors are placed) so ready times are always computable.
-  std::vector<int32_t> unplaced_preds(slots, 0);
+  TaggedVector<int32_t> unplaced_preds(slots, 0);
   for (OpId id : g.LiveOps()) {
     for (EdgeId e : g.in_edges(id)) {
       const Edge& edge = g.edge(e);
@@ -179,13 +173,21 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
   // destination device). Without this, DPOS systematically under-prices
   // placements that funnel many large tensors into one device — the exact
   // error that made gradient-aggregation traffic look free.
-  std::vector<double> egress_free(static_cast<size_t>(n_dev), 0.0);
-  std::vector<double> ingress_free(static_cast<size_t>(n_dev), 0.0);
-  std::map<std::pair<OpId, DeviceId>, double> sent_arrival;
+  TaggedVector<double> egress_free(static_cast<size_t>(n_dev), 0.0);
+  TaggedVector<double> ingress_free(static_cast<size_t>(n_dev), 0.0);
+  // Arrival of op src's output on device d, at [src * n_dev + d]; negative
+  // until the tensor is sent there.
+  constexpr double kNotSent = -1.0;
+  TaggedVector<double> sent_arrival(slots * static_cast<size_t>(n_dev),
+                                    kNotSent);
+  auto arrival_at = [&](OpId src, DeviceId d) -> double& {
+    return sent_arrival[static_cast<size_t>(src) * static_cast<size_t>(n_dev) +
+                        static_cast<size_t>(d)];
+  };
 
   // Earliest data-ready time of `op` on device `d` given placed preds.
   // Evaluation-only: consults but does not advance the channel state, so
-  // concurrent evaluations for different candidate devices are safe.
+  // every candidate device of one op is scored against the same state.
   auto ready_time = [&](OpId op, DeviceId d) {
     double t = 0.0;
     for (EdgeId e : g.in_edges(op)) {
@@ -196,9 +198,9 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
       const double ft = result.finish_time[static_cast<size_t>(edge.src)];
       double arrival = ft;
       if (pd != d) {
-        auto it = sent_arrival.find({edge.src, d});
-        if (it != sent_arrival.end()) {
-          arrival = it->second;
+        const double sent = arrival_at(edge.src, d);
+        if (sent >= 0.0) {
+          arrival = sent;
         } else {
           const double start =
               std::max({ft, egress_free[static_cast<size_t>(pd)],
@@ -219,7 +221,8 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
       const DeviceId pd =
           result.strategy.placement[static_cast<size_t>(edge.src)];
       if (pd == d) continue;
-      if (sent_arrival.count({edge.src, d}) > 0) continue;
+      double& sent = arrival_at(edge.src, d);
+      if (sent >= 0.0) continue;
       const double ft = result.finish_time[static_cast<size_t>(edge.src)];
       const double start =
           std::max({ft, egress_free[static_cast<size_t>(pd)],
@@ -227,7 +230,7 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
       const double dur = comm_t.Estimate(pd, d, edge.bytes);
       egress_free[static_cast<size_t>(pd)] = start + dur;
       ingress_free[static_cast<size_t>(d)] = start + dur;
-      sent_arrival[{edge.src, d}] = start + dur;
+      sent = start + dur;
     }
     const double w = comp_t.Time(op, d);
     const double ready = ready_time(op, d);
@@ -281,7 +284,6 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
   // Setting FASTT_DPOS_TRACE alone is enough to see the per-device score
   // lines: opt-in diagnostics imply debug verbosity for their own output.
   if (trace != nullptr) EnsureLogThresholdAtLeast(LogLevel::kDebug);
-  TaggedVector<double> scores(static_cast<size_t>(n_dev), kInf);
 
   // Full candidate table for one op, as the scheduler would have seen it at
   // decision time. Evaluation-only (ready_time / EarliestSlot / device_score
@@ -322,37 +324,26 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
     PlacementReason reason = PlacementReason::kBestEft;
     bool charge_mem = true;
     const auto colocate = o.colocate_with;
-    auto cp_it = cp_device.find(op);
     if (colocate != kInvalidOp &&
         result.strategy.placement[static_cast<size_t>(colocate)] !=
             kInvalidDevice) {
       chosen = result.strategy.placement[static_cast<size_t>(colocate)];
       reason = PlacementReason::kColocated;
-    } else if (cp_it != cp_device.end()) {
-      chosen = cp_it->second;  // memory already reserved in phase 1
+    } else if (cp_device[static_cast<size_t>(op)] != kInvalidDevice) {
+      chosen = cp_device[static_cast<size_t>(op)];
       reason = PlacementReason::kCriticalPathDevice;
-      charge_mem = false;
+      charge_mem = false;  // memory already reserved in phase 1
     } else {
-      // Min-(EFT + communication affinity) over memory-feasible devices:
-      // score every candidate (in parallel when wide enough), then reduce
-      // serially in device order — first strict improvement wins, matching
-      // the serial loop's tie-break exactly.
+      // Min-(EFT + communication affinity) over memory-feasible devices, in
+      // device order: the first strict improvement wins ties.
       const bool tracing =
           trace != nullptr && o.name.find(trace) != std::string::npos;
-      ParallelFor(
-          static_cast<size_t>(n_dev),
-          [&](size_t di) {
-            scores[di] = device_score(op, static_cast<DeviceId>(di));
-          },
-          tracing ? static_cast<size_t>(n_dev) + 1 : kMinParallelScoreDevices);
-      if (tracing) {
-        for (DeviceId d = 0; d < n_dev; ++d)
-          FASTT_LOG(Debug, "dpos %-28s d%d: score=%.4f", o.name.c_str(), d,
-                    scores[static_cast<size_t>(d)]);
-      }
       double best_score = kInf;
       for (DeviceId d = 0; d < n_dev; ++d) {
-        const double score = scores[static_cast<size_t>(d)];
+        const double score = device_score(op, d);
+        if (tracing)
+          FASTT_LOG(Debug, "dpos %-28s d%d: score=%.4f", o.name.c_str(), d,
+                    score);
         if (score < best_score) {
           best_score = score;
           chosen = d;
@@ -383,17 +374,15 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
     schedule_on(op, chosen);
     ++placed;
 
-    for (OpId succ : g.Succs(op)) {
-      // Succs deduplicates; count down per-edge.
-      int32_t dec = 0;
-      for (EdgeId e : g.out_edges(op)) {
-        const Edge& edge = g.edge(e);
-        if (!edge.dead && edge.dst == succ) ++dec;
-      }
-      auto& left = unplaced_preds[static_cast<size_t>(succ)];
-      left -= dec;
-      if (left == 0)
-        queue.push(ReadyOp{result.rank[static_cast<size_t>(succ)], succ});
+    // Count down once per out-edge. A successor fed by several edges is
+    // pushed at its last one; the queue's (rank, id) order is total, so push
+    // order cannot change the pop order.
+    for (EdgeId e : g.out_edges(op)) {
+      const Edge& edge = g.edge(e);
+      if (edge.dead || g.op(edge.dst).dead) continue;
+      if (--unplaced_preds[static_cast<size_t>(edge.dst)] == 0)
+        queue.push(ReadyOp{result.rank[static_cast<size_t>(edge.dst)],
+                           edge.dst});
     }
   }
   FASTT_CHECK_MSG(placed == static_cast<size_t>(g.num_live_ops()),

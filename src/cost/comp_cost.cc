@@ -19,30 +19,57 @@ void CompCostModel::AddProfile(const RunProfile& profile) {
     AddSample(p.cost_key, p.device, p.duration_s);
 }
 
+const CompCostModel::PerDevice* CompCostModel::Find(
+    const std::string& cost_key) const {
+  auto it = entries_.find(cost_key);
+  return it == entries_.end() ? nullptr : &it->second;
+}
+
+CompCostModel::ResolvedKeys CompCostModel::Resolve(
+    const Operation& op) const {
+  ResolvedKeys keys;
+  keys.exact = Find(op.CostKey());
+  if (!op.cost_basis_key.empty()) keys.basis = Find(op.cost_basis_key);
+  keys.scale = op.cost_scale;
+  return keys;
+}
+
+std::optional<double> CompCostModel::MeanOn(const PerDevice* per,
+                                            DeviceId device) {
+  if (per == nullptr) return std::nullopt;
+  auto it = per->by_device.find(device);
+  if (it == per->by_device.end()) return std::nullopt;
+  return it->second.mean();
+}
+
+double CompCostModel::Estimate(const ResolvedKeys& keys, DeviceId device) {
+  if (auto exact = MeanOn(keys.exact, device)) return *exact;
+  if (auto basis = MeanOn(keys.basis, device)) return *basis * keys.scale;
+  return 0.0;  // unknown: explore
+}
+
 std::optional<double> CompCostModel::Lookup(const std::string& cost_key,
                                             DeviceId device) const {
-  auto it = entries_.find(cost_key);
-  if (it == entries_.end()) return std::nullopt;
-  auto jt = it->second.by_device.find(device);
-  if (jt == it->second.by_device.end()) return std::nullopt;
-  return jt->second.mean();
+  return MeanOn(Find(cost_key), device);
 }
 
 double CompCostModel::EstimateOrExplore(const Operation& op,
                                         DeviceId device) const {
-  if (auto exact = Lookup(op.CostKey(), device)) return *exact;
-  if (!op.cost_basis_key.empty()) {
-    if (auto basis = Lookup(op.cost_basis_key, device))
-      return *basis * op.cost_scale;
-  }
-  return 0.0;  // unknown: explore
+  return Estimate(Resolve(op), device);
+}
+
+void CompCostModel::EstimateRow(const Operation& op, int32_t num_devices,
+                                double* out) const {
+  const ResolvedKeys keys = Resolve(op);
+  for (DeviceId d = 0; d < num_devices; ++d) out[d] = Estimate(keys, d);
 }
 
 double CompCostModel::MaxTimeOverDevices(const Operation& op,
                                          int32_t num_devices) const {
+  const ResolvedKeys keys = Resolve(op);
   double best = 0.0;
   for (DeviceId d = 0; d < num_devices; ++d)
-    best = std::max(best, EstimateOrExplore(op, d));
+    best = std::max(best, Estimate(keys, d));
   return best;
 }
 

@@ -39,6 +39,11 @@ class CompCostModel {
   //   3. 0 — explore (paper's rule).
   double EstimateOrExplore(const Operation& op, DeviceId device) const;
 
+  // EstimateOrExplore(op, d) into out[d] for every d in [0, num_devices).
+  // Hashes the cost key and the basis key once per op, not once per device.
+  void EstimateRow(const Operation& op, int32_t num_devices,
+                   double* out) const;
+
   // Maximal estimated time of the op over the given devices — the w_i term in
   // rank_u. Zero if nothing is known anywhere.
   double MaxTimeOverDevices(const Operation& op, int32_t num_devices) const;
@@ -62,6 +67,19 @@ class CompCostModel {
   struct PerDevice {
     std::unordered_map<DeviceId, OnlineMean> by_device;
   };
+  // An op's exact-key and basis-key entries (nullptr when unknown): all the
+  // hashing EstimateOrExplore needs, done once per op.
+  struct ResolvedKeys {
+    const PerDevice* exact = nullptr;
+    const PerDevice* basis = nullptr;
+    double scale = 1.0;
+  };
+  const PerDevice* Find(const std::string& cost_key) const;
+  ResolvedKeys Resolve(const Operation& op) const;
+  static std::optional<double> MeanOn(const PerDevice* per, DeviceId device);
+  // Rules 1–3 of EstimateOrExplore.
+  static double Estimate(const ResolvedKeys& keys, DeviceId device);
+
   std::unordered_map<std::string, PerDevice> entries_;
   uint64_t version_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "cost/cost_table.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -19,12 +21,12 @@ CompCostTable::CompCostTable(const Graph& g, const CompCostModel& model,
   for (OpId id = 0; id < num_slots_; ++id) {
     const Operation& op = g.op(id);
     if (op.dead) continue;
+    double* row = &times_[static_cast<size_t>(id) * devs];
+    model.EstimateRow(op, num_devices_, row);
     double best = 0.0;
-    for (DeviceId d = 0; d < num_devices_; ++d) {
-      const double t = model.EstimateOrExplore(op, d);
-      if (t == 0.0) ++unknown;
-      times_[static_cast<size_t>(id) * devs + static_cast<size_t>(d)] = t;
-      best = t > best ? t : best;
+    for (size_t d = 0; d < devs; ++d) {
+      if (row[d] == 0.0) ++unknown;
+      best = row[d] > best ? row[d] : best;
     }
     max_time_[static_cast<size_t>(id)] = best;
   }
@@ -57,12 +59,27 @@ CommCostTable::CommCostTable(const CommCostModel& model, int32_t num_devices)
         p.intercept = fit->first;
         p.slope = fit->second;
         p.known = true;
-        known_pairs_.push_back(p);
+        max_candidates_.push_back(p);
       } else {
         ++unknown;
       }
     }
   }
+  // MaxOverPairs needs only the pairs no other pair beats on both intercept
+  // and slope. For bytes >= 0, a + b·bytes rounds monotonically in a and in
+  // b, so a pair beaten on both never exceeds its dominator, bit for bit.
+  // Sort by intercept, then slope, descending; keep each pair whose slope
+  // beats every pair before it. Exact duplicates collapse to one.
+  std::sort(max_candidates_.begin(), max_candidates_.end(),
+            [](const Pair& a, const Pair& b) {
+              if (a.intercept != b.intercept) return a.intercept > b.intercept;
+              return a.slope > b.slope;
+            });
+  size_t kept = 0;
+  for (const Pair& p : max_candidates_)
+    if (kept == 0 || p.slope > max_candidates_[kept - 1].slope)
+      max_candidates_[kept++] = p;
+  max_candidates_.resize(kept);
   CurrentMetrics().AddCounter("cost/comm_table_builds");
   if (unknown > 0) {
     CurrentMetrics().AddCounter("cost/comm_table_unknown_pairs",
@@ -73,7 +90,7 @@ CommCostTable::CommCostTable(const CommCostModel& model, int32_t num_devices)
 
 double CommCostTable::MaxOverPairs(int64_t bytes) const {
   double best = 0.0;
-  for (const Pair& p : known_pairs_) {
+  for (const Pair& p : max_candidates_) {
     const double t = p.intercept + p.slope * static_cast<double>(bytes);
     best = t > best ? t : best;
   }

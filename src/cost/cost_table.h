@@ -5,8 +5,8 @@
 // search interrogates them millions of times: every DPOS queue pop scores
 // every candidate device, and OS-DPOS reschedules whole trial graphs per
 // split probe. A table is built once per scheduler invocation (one string
-// lookup per (op, device) and one map lookup per device pair), after which
-// every query is an array read. Tables are immutable after construction, so
+// lookup per op key and one map lookup per device pair), after which every
+// query is an array read. Tables are immutable after construction, so
 // the parallel search reads them from many threads without synchronization,
 // and each carries the model version it was built from so stale snapshots
 // are detectable after a profiling round feeds the models.
@@ -72,7 +72,8 @@ class CommCostTable {
     const double t = p.intercept + p.slope * static_cast<double>(bytes);
     return t > 0.0 ? t : 0.0;
   }
-  // CommCostModel::MaxOverPairs — the c_{i,j} term in rank_u.
+  // CommCostModel::MaxOverPairs — the c_{i,j} term in rank_u. Exact for
+  // bytes >= 0 (tensor sizes), which the pair pruning relies on.
   double MaxOverPairs(int64_t bytes) const;
 
   int32_t num_devices() const { return num_devices_; }
@@ -89,8 +90,8 @@ class CommCostTable {
   uint64_t model_version_ = 0;
   TaggedVector<Pair> pairs_{
       TaggedAlloc<Pair>(MemTag::kCost)};  // num_devices × num_devices
-  // Dense list for MaxOverPairs.
-  TaggedVector<Pair> known_pairs_{TaggedAlloc<Pair>(MemTag::kCost)};
+  // Known pairs that can attain MaxOverPairs for some bytes >= 0.
+  TaggedVector<Pair> max_candidates_{TaggedAlloc<Pair>(MemTag::kCost)};
 };
 
 }  // namespace fastt

@@ -5,27 +5,40 @@
 #include <vector>
 
 #include "util/stats.h"
-#include "util/strings.h"
 
 namespace fastt {
+namespace {
+
+// Marks a device the key had no sample on when the snapshot was taken.
+constexpr double kUnprofiled = std::numeric_limits<double>::quiet_NaN();
+
+}  // namespace
 
 double StabilityDetector::Observe(const CompCostModel& model,
                                   int32_t num_devices,
                                   const std::vector<std::string>& keys) {
   bool new_entry = false;
   std::vector<double> changes;
-  std::unordered_map<std::string, double> current;
+  std::unordered_map<std::string, std::vector<double>> current;
   for (const std::string& key : keys) {
+    // A key listed twice is compared twice: each listing is one entry.
+    std::vector<double>& now = current[key];
+    now.assign(static_cast<size_t>(num_devices), kUnprofiled);
+    auto it = last_.find(key);
+    const std::vector<double>* before =
+        it == last_.end() ? nullptr : &it->second;
     for (DeviceId d = 0; d < num_devices; ++d) {
       auto value = model.Lookup(key, d);
       if (!value) continue;
-      const std::string entry = key + "@" + StrFormat("%d", d);
-      current[entry] = *value;
-      auto it = last_.find(entry);
-      if (it == last_.end()) {
+      const size_t di = static_cast<size_t>(d);
+      now[di] = *value;
+      const double old = before != nullptr && di < before->size()
+                             ? (*before)[di]
+                             : kUnprofiled;
+      if (std::isnan(old)) {
         new_entry = true;
-      } else if (it->second > 0.0) {
-        changes.push_back(std::fabs(*value - it->second) / it->second);
+      } else if (old > 0.0) {
+        changes.push_back(std::fabs(*value - old) / old);
       }
     }
   }

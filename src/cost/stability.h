@@ -14,6 +14,7 @@
 #include <limits>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "cost/comp_cost.h"
 
@@ -61,7 +62,9 @@ class StabilityDetector {
   int patience_;
   int stable_rounds_ = 0;
   StabilityStats last_stats_;
-  std::unordered_map<std::string, double> last_;
+  // Previous snapshot: per cost key, the mean on each device (NaN where the
+  // key had no sample on that device).
+  std::unordered_map<std::string, std::vector<double>> last_;
 };
 
 }  // namespace fastt

@@ -39,7 +39,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop(int worker_index) {
-  t_in_worker = true;
   const std::string thread_name = StrFormat("search worker %d", worker_index);
   Tracer::Global().SetCurrentThreadName(thread_name);
   // Workers opt into CPU sampling for their whole lifetime: if a profile is
@@ -123,6 +122,10 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& fn) {
   batch->ambient = CurrentAmbientTelemetry();
   auto run_chunks = [](const std::shared_ptr<Batch>& b) {
     const AmbientTelemetry prev = ExchangeAmbientTelemetry(b->ambient);
+    // Marks workers and the helping caller alike, so a nested ParallelFor
+    // in any chunk runs inline instead of re-entering the pool.
+    const bool was_in_worker = t_in_worker;
+    t_in_worker = true;
     for (;;) {
       const size_t c = b->next_chunk.fetch_add(1);
       if (c >= b->chunks) break;
@@ -134,6 +137,7 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& fn) {
         b->cv.NotifyAll();
       }
     }
+    t_in_worker = was_in_worker;
     ExchangeAmbientTelemetry(prev);
   };
   {

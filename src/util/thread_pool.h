@@ -1,16 +1,17 @@
 // Fixed-size thread pool and a deterministic ParallelFor on top of it.
 //
-// The strategy search is the product's "in minutes" promise, and its hot
-// loops — candidate-device scoring in DPOS, split-factor trials in OS-DPOS —
-// are embarrassingly parallel. The pool here is deliberately minimal: a
+// The strategy search is the product's "in minutes" promise, and its coarse
+// loops — split-factor trials in OS-DPOS, critical-path device scans in
+// DPOS — are embarrassingly parallel. The pool here is deliberately minimal: a
 // shared queue, no work stealing, no futures. Determinism is the design
 // constraint, not throughput: ParallelFor writes each index's result into a
 // caller-owned slot and callers reduce serially in index order afterwards,
 // so the outcome is bit-identical for any worker count (including zero).
 //
 // Nested ParallelFor calls (e.g. a parallel OS-DPOS trial invoking DPOS,
-// which itself calls ParallelFor) run the inner loop serially on the worker
-// thread — same results, no pool deadlock.
+// which itself calls ParallelFor) run the inner loop serially on the thread
+// running the outer chunk, worker or caller — same results, no pool
+// re-entry.
 #pragma once
 
 #include <atomic>
@@ -51,8 +52,8 @@ class ThreadPool {
   // run. fn must not throw; calls for distinct i must be data-independent.
   void Run(size_t n, const std::function<void(size_t)>& fn);
 
-  // True while the current thread is a pool worker executing a task; used to
-  // serialize nested parallelism.
+  // True while the current thread runs chunks of a Run() batch, as a worker
+  // or as the submitting thread; used to serialize nested parallelism.
   static bool InWorker();
 
   // Snapshot of the occupancy counters (jobs is filled by the caller that
@@ -94,8 +95,8 @@ int SearchJobs();
 
 // Deterministic parallel loop over [0, n) using the shared search pool.
 // Runs serially when jobs == 1, when n < min_parallel, or when called from
-// inside a pool worker (nested parallelism). Results must be written to
-// per-index slots; reduce serially afterwards for determinism.
+// inside a chunk of another ParallelFor (nested parallelism). Results must be
+// written to per-index slots; reduce serially afterwards for determinism.
 void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                  size_t min_parallel = 2);
 

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cost/comm_cost.h"
 #include "cost/comp_cost.h"
@@ -8,6 +13,7 @@
 #include "cost/linreg.h"
 #include "cost/stability.h"
 #include "graph/graph.h"
+#include "util/rng.h"
 
 namespace fastt {
 namespace {
@@ -246,6 +252,67 @@ TEST(Stability, WindowStatisticsExposed) {
   EXPECT_TRUE(detector.IsStable());
 }
 
+TEST(Stability, StatisticsOverDuplicateAndPartlyProfiledKeys) {
+  // Pinned statistics: a key listed twice counts twice, "b" is profiled on
+  // devices 0 and 2 only until round 5, "z" has a zero mean (never a
+  // relative change), and "c" first appears in round 3.
+  CompCostModel m;
+  for (DeviceId d = 0; d < 3; ++d) m.AddSample("a", d, 0.010 * (d + 1));
+  m.AddSample("b", 0, 0.004);
+  m.AddSample("b", 2, 0.006);
+  m.AddSample("z", 0, 0.0);
+  StabilityDetector detector(0.05, 2);
+  std::vector<std::string> keys = {"a", "b", "a", "z"};
+  std::vector<StabilityStats> got;
+  auto observe = [&] {
+    detector.Observe(m, 3, keys);
+    got.push_back(detector.last_stats());
+  };
+
+  observe();
+  m.AddSample("a", 0, 0.012);
+  m.AddSample("b", 2, 0.0063);
+  observe();
+  m.AddSample("c", 1, 0.5);
+  m.AddSample("a", 2, 0.0301);
+  keys.push_back("c");
+  observe();
+  m.AddSample("a", 1, 0.0199);
+  m.AddSample("c", 1, 0.51);
+  observe();
+  m.AddSample("b", 1, 0.005);
+  observe();
+  observe();
+
+  struct Pinned {
+    int entries;
+    double max_change, mean_change, stddev_change;
+    bool new_entries;
+    int stable_rounds;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const Pinned want[] = {
+      {0, inf, 0.0, 0.0, true, 0},
+      {8, 0.099999999999999908, 0.028124999999999976, 0.04519303833872769,
+       false, 0},
+      {8, inf, 0.00041666666666667862, 0.00077151674981048169, true, 0},
+      {9, 0.010000000000000009, 0.0016666666666666451, 0.003307189138830735,
+       false, 1},
+      {9, inf, 0.0, 0.0, true, 0},
+      {10, 0.0, 0.0, 0.0, false, 1},
+  };
+  ASSERT_EQ(got.size(), 6u);
+  for (size_t round = 0; round < got.size(); ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round + 1);
+    EXPECT_EQ(got[round].entries, want[round].entries);
+    EXPECT_EQ(got[round].max_change, want[round].max_change);
+    EXPECT_EQ(got[round].mean_change, want[round].mean_change);
+    EXPECT_EQ(got[round].stddev_change, want[round].stddev_change);
+    EXPECT_EQ(got[round].new_entries, want[round].new_entries);
+    EXPECT_EQ(got[round].stable_rounds, want[round].stable_rounds);
+  }
+}
+
 TEST(LinearRegression, RSquaredPerfectAndNoisy) {
   LinearRegression exact;
   for (double x : {1.0, 2.0, 5.0, 9.0}) exact.Add(x, 3.0 + 2.0 * x);
@@ -363,6 +430,42 @@ TEST(CommCostTable, MatchesTheModelItSnapshotted) {
   EXPECT_TRUE(table.Fresh(comm));
   comm.AddSample(0, 1, 1 << 8, 2e-5);
   EXPECT_FALSE(table.Fresh(comm));
+}
+
+TEST(CommCostTable, PrunedPairsMatchTheModelAtSixteenDevices) {
+  // The table keeps only the pairs no other pair beats on both intercept and
+  // slope. The first four fits each attain the max on their own byte range
+  // (crossovers near 2e5, 2.7e5 and 6.7e5 bytes, so 2^17..2^20 see a
+  // different winner each); the rest are beaten on both terms and tie one
+  // of them on slope or on intercept. Every pair of a 16-device cluster
+  // draws one at random, so each fit also recurs as exact duplicates, and
+  // some pairs stay unfitted.
+  constexpr int32_t kDevices = 16;
+  const std::pair<double, double> fits[] = {
+      {1e-4, 0.0},     {8e-5, 1e-10},  {0.0, 4e-10},   {-4e-4, 1e-9},
+      {1e-4, -1e-11},  {8e-5, -1e-11}, {5e-5, 1e-10},  {-1e-3, 1e-9},
+      {-1e-5, 4e-10},
+  };
+  Rng rng(20201207);
+  CommCostModel comm;
+  for (DeviceId s = 0; s < kDevices; ++s) {
+    for (DeviceId d = 0; d < kDevices; ++d) {
+      if (s == d || rng.NextBelow(8) == 0) continue;
+      const auto [a, b] = fits[rng.NextBelow(std::size(fits))];
+      comm.AddSample(s, d, 0, a);
+      comm.AddSample(s, d, 1 << 20, a + b * (1 << 20));
+    }
+  }
+  const CommCostTable table(comm, kDevices);
+  std::vector<int64_t> sizes = {0, 1};
+  for (int shift = 10; shift <= 31; ++shift)
+    sizes.push_back(int64_t{1} << shift);
+  for (int64_t bytes : sizes)
+    EXPECT_EQ(table.MaxOverPairs(bytes), comm.MaxOverPairs(bytes))
+        << bytes << " bytes";
+  for (DeviceId s = 0; s < kDevices; ++s)
+    for (DeviceId d = 0; d < kDevices; ++d)
+      EXPECT_EQ(table.Estimate(s, d, 1 << 16), comm.Estimate(s, d, 1 << 16));
 }
 
 TEST(CommCostTable, UnknownPairsExplore) {

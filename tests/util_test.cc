@@ -4,6 +4,7 @@
 #include <set>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "util/rng.h"
@@ -277,6 +278,36 @@ TEST(ParallelFor, NestedLoopRunsInlineOnTheWorkerThread) {
       },
       /*min_parallel=*/1);
   EXPECT_TRUE(inline_ok.load());
+  SetSearchJobs(1);
+}
+
+TEST(ParallelFor, NestedLoopInTheCallersChunkStaysOffThePool) {
+  // The submitting thread runs chunks too; a nested loop there must run
+  // inline like on a worker, or it re-enters the pool as a second batch.
+  SetSearchJobs(2);
+  const uint64_t before = SearchPoolStats().batches;
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> caller_chunks{0};
+  // Two indices, two chunks. A worker holding one chunk waits until the
+  // caller has taken the other, so the caller always runs a nested loop.
+  ParallelFor(
+      2,
+      [&](size_t) {
+        if (std::this_thread::get_id() == caller) {
+          ++caller_chunks;
+        } else {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (caller_chunks.load() == 0 &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        }
+        ParallelFor(4, [](size_t) {}, /*min_parallel=*/1);
+      },
+      /*min_parallel=*/1);
+  EXPECT_GE(caller_chunks.load(), 1);
+  EXPECT_EQ(SearchPoolStats().batches - before, 1u);
+  EXPECT_FALSE(ThreadPool::InWorker());
   SetSearchJobs(1);
 }
 
