@@ -80,9 +80,8 @@ struct LintConfig {
   // Files whose heap containers must be tagged (A1 scope) — the
   // memtrack-covered subsystems from DESIGN.md §13.
   std::vector<std::string> tagged_paths = {
-      "src/graph/graph.",       "src/sim/exec_sim.cc",
-      "src/sim/incremental_sim.cc", "src/cost/cost_table.",
-      "src/core/dpos.cc",       "src/core/os_dpos.cc"};
+      "src/graph/graph.", "src/sim/exec_sim.cc", "src/cost/cost_table.",
+      "src/core/dpos.cc", "src/core/os_dpos.cc"};
   // Signal-handler roots for the S1 reachability walk.
   std::vector<std::string> handler_roots = {"FasttProfSignalHandler"};
   // Allowlist: (rule, file substring, enclosing function) triples. A '*'

@@ -2,9 +2,8 @@
 //
 // The metrics registry answers "how much, in total"; the tracer answers
 // "when, on which thread" — where the search's own wall-clock goes: DPOS
-// runs and their phases, OS-DPOS split trials on pool workers, incremental
-// re-simulation cone replays, cost-table builds, worker occupancy and queue
-// wait. Recording is a per-thread ring buffer of fixed capacity (oldest
+// runs and their phases, OS-DPOS split trials on pool workers, cost-table
+// builds, worker occupancy and queue wait. Recording is a per-thread ring buffer of fixed capacity (oldest
 // events overwritten; a drain reports how many were lost), written without
 // locks: each buffer has exactly one writer — its owning thread — and a
 // release-store on the head index publishes slots to the drainer. Events

@@ -11,6 +11,7 @@
 #include "util/rng.h"
 
 namespace fastt {
+namespace {
 
 // Deterministic per-op noise independent of event processing order: each op
 // draws from its own stream derived from (run seed, op id).
@@ -21,16 +22,13 @@ double SimNoiseFactor(uint64_t seed, OpId op, double cv) {
   return std::max(0.25, f);
 }
 
-namespace {
-
 struct Event {
   double time = 0.0;
   enum Kind { kOpFinish = 0, kArrival = 1 } kind = kOpFinish;
   OpId op = kInvalidOp;       // kOpFinish: the op; kArrival: consumer op
   EdgeId edge = -1;           // kArrival only
   // Canonical order (time, kind, op, edge): a pure function of event
-  // content, so any engine that generates the same events — in particular
-  // IncrementalSim's partial replay — processes them in the same order.
+  // content, so the processing order does not depend on push order.
   // (No two events share all four fields: an op finishes once, an edge
   // delivers once.)
   bool operator>(const Event& other) const {
@@ -122,10 +120,7 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
     FASTT_CHECK_MSG(d >= 0 && d < cluster.num_devices(),
                     "op " + g.op(id).name + " has no valid device");
   }
-  const DispatchMode dispatch = options.enforce_order
-                                    ? DispatchMode::kPriority
-                                    : options.dispatch;
-  if (dispatch == DispatchMode::kPriority) {
+  if (options.dispatch == DispatchMode::kPriority) {
     FASTT_CHECK_MSG(
         options.priorities.size() >= static_cast<size_t>(g.num_slots()),
         "priority dispatch requires priorities per op");
@@ -133,7 +128,6 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
 
   SimResult result;
   result.op_records.assign(static_cast<size_t>(g.num_slots()), OpRecord{});
-  result.edge_arrival.assign(static_cast<size_t>(g.num_edge_slots()), -1.0);
   result.device_busy_s.assign(static_cast<size_t>(cluster.num_devices()), 0.0);
 
   MemoryTracker memory(cluster, options.track_memory,
@@ -212,7 +206,7 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
     const DeviceId d = placement[static_cast<size_t>(op)];
     ReadyEntry entry;
     entry.seq = ready_counter++;
-    switch (dispatch) {
+    switch (options.dispatch) {
       case DispatchMode::kFifo:
         entry.key = static_cast<int64_t>(entry.seq);
         break;
@@ -294,11 +288,9 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
         if (edge.dead || g.op(edge.dst).dead) continue;
         const DeviceId dd = placement[static_cast<size_t>(edge.dst)];
         if (dd == d) {
-          result.edge_arrival[static_cast<size_t>(e)] = now;
           events.push(Event{now, Event::kArrival, edge.dst, e});
         } else if (auto it = sent_arrival.find(dd);
                    it != sent_arrival.end()) {
-          result.edge_arrival[static_cast<size_t>(e)] = it->second;
           events.push(Event{it->second, Event::kArrival, edge.dst, e});
         } else {
           const Link link = cluster.LinkBetween(d, dd);
@@ -313,9 +305,8 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
           sent_arrival[dd] = arrival;
           carrying_edges.insert(e);
           result.transfers.push_back(TransferRecord{
-              op, edge.dst, d, dd, edge.bytes, start, arrival, e});
+              op, edge.dst, d, dd, edge.bytes, start, arrival});
           result.total_memcpy_s += arrival - start;
-          result.edge_arrival[static_cast<size_t>(e)] = arrival;
           events.push(Event{arrival, Event::kArrival, edge.dst, e});
         }
       }

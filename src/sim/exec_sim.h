@@ -40,8 +40,6 @@ struct SimOptions {
   static constexpr size_t kCopyEnginesPerDirection = 2;
 
   DispatchMode dispatch = DispatchMode::kFifo;
-  // Backwards-compatible alias: enforce_order = true selects kPriority.
-  bool enforce_order = false;
   // Priorities indexed by OpId; required for kPriority.
   std::vector<int64_t> priorities;
   // Multiplicative lognormal-ish execution-time noise (coefficient of
@@ -78,7 +76,6 @@ struct TransferRecord {
   int64_t bytes = 0;
   double start = 0.0;    // when the channel begins carrying the tensor
   double arrival = 0.0;  // when the consumer may use it
-  EdgeId edge = -1;      // the carrying edge (dedup'd consumers alias it)
   double duration() const { return arrival - start; }
 };
 
@@ -99,11 +96,6 @@ struct SimResult {
   // SimOptions::record_memory_timeline is set (feeds the Chrome-trace
   // counter tracks that visualize the Table 3 OOM story).
   std::vector<std::vector<MemorySample>> memory_timeline;
-  // Consumer-visible arrival time per EdgeId slot (-1 for dead/unused
-  // edges). Same-device edges arrive at the producer's finish; dedup'd
-  // cross-device edges share the carrying transfer's arrival. This is the
-  // per-edge timeline that incremental re-simulation replays.
-  std::vector<double> edge_arrival;
 };
 
 // Executes the live subgraph of `g` under `placement` (DeviceId per OpId) on
@@ -112,16 +104,11 @@ struct SimResult {
 //
 // Event-ordering contract: simultaneous events are processed in the canonical
 // order (time, kind, op id, edge id) with op-finish ranked before arrival.
-// This makes the processing order a pure function of event content — not of
-// push order — which is what lets IncrementalSim replay a subset of the
-// timeline and still interleave identically with the full simulation.
+// This makes the processing order a pure function of event content, not of
+// push order, so a refactor that pushes the same events in another order
+// cannot change the result (strategies are scored on it bit-for-bit).
 SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
                    const Cluster& cluster, const SimOptions& options = {});
-
-// Deterministic per-op execution-time noise factor, a pure function of
-// (run seed, op id, cv) — shared by Simulate and IncrementalSim so a
-// replayed op draws exactly the duration the full simulation would.
-double SimNoiseFactor(uint64_t seed, OpId op, double cv);
 
 // Convenience: true iff the placement's resident parameters alone already
 // exceed some device's memory (cheap static check used by schedulers).

@@ -44,7 +44,7 @@ namespace fastt {
 enum class MemTag : uint8_t {
   kUntagged = 0,  // tagged allocation outside any scope
   kGraph,         // Graph storage: ops, edges, adjacency, name index
-  kSimEvents,     // ExecSim / IncrementalSim event + ready queues
+  kSimEvents,     // Simulate's event + ready queues
   kCost,          // cost-table snapshots
   kDpos,          // DPOS / OS-DPOS scratch (queues, score tables)
   kObs,           // observability: event log lines, provenance

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <random>
 
@@ -11,7 +12,6 @@
 #include "graph/rewrite.h"
 #include "models/model_zoo.h"
 #include "sim/exec_sim.h"
-#include "sim/incremental_sim.h"
 #include "util/rng.h"
 
 namespace fastt {
@@ -211,119 +211,172 @@ INSTANTIATE_TEST_SUITE_P(Models, OsDposModelSweep,
                          ::testing::Values("lenet", "alexnet", "rnnlm",
                                            "transformer"));
 
-// ---- Incremental re-simulation ---------------------------------------------
-// The contract under test: after any sequence of single-op re-placements and
-// splits, IncrementalSim's cached result is bit-identical to a fresh full
-// simulation of the edited graph + placement.
+// ---- Simulator golden digests ----------------------------------------------
+// The invariant sweeps above accept any well-formed execution; these digests
+// pin Simulate's output bit-for-bit. Regenerate them only for an intended
+// change to the simulator's behaviour.
 
-void ExpectSameSim(const Graph& g, const SimResult& inc, const SimResult& full) {
-  ASSERT_EQ(inc.makespan, full.makespan);
-  ASSERT_EQ(inc.op_records.size(), full.op_records.size());
+// FNV-1a over the bytes of every field of a SimResult that a caller can
+// observe.
+uint64_t DigestOf(const Graph& g, const SimResult& r) {
+  uint64_t h = 14695981039346656037ULL;
+  auto add = [&h](auto value) {
+    unsigned char bytes[sizeof(value)];
+    std::memcpy(bytes, &value, sizeof(value));
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  };
+  add(r.makespan);
   for (OpId id : g.LiveOps()) {
-    const auto& a = inc.op_records[static_cast<size_t>(id)];
-    const auto& b = full.op_records[static_cast<size_t>(id)];
-    ASSERT_EQ(a.device, b.device) << g.op(id).name;
-    ASSERT_EQ(a.start, b.start) << g.op(id).name;
-    ASSERT_EQ(a.finish, b.finish) << g.op(id).name;
+    const OpRecord& rec = r.op_records[static_cast<size_t>(id)];
+    add(rec.device);
+    add(rec.start);
+    add(rec.finish);
   }
-  ASSERT_EQ(inc.edge_arrival.size(), full.edge_arrival.size());
-  for (size_t e = 0; e < full.edge_arrival.size(); ++e) {
-    if (g.edge(static_cast<EdgeId>(e)).dead) continue;
-    ASSERT_EQ(inc.edge_arrival[e], full.edge_arrival[e]) << "edge " << e;
+  for (const TransferRecord& t : r.transfers) {
+    add(t.src_op);
+    add(t.dst_op);
+    add(t.src);
+    add(t.dst);
+    add(t.bytes);
+    add(t.start);
+    add(t.arrival);
   }
-  ASSERT_EQ(inc.transfers.size(), full.transfers.size());
-  for (size_t i = 0; i < full.transfers.size(); ++i) {
-    const auto& a = inc.transfers[i];
-    const auto& b = full.transfers[i];
-    ASSERT_EQ(a.edge, b.edge);
-    ASSERT_EQ(a.start, b.start);
-    ASSERT_EQ(a.arrival, b.arrival);
-    ASSERT_EQ(a.src, b.src);
-    ASSERT_EQ(a.dst, b.dst);
-  }
-  ASSERT_EQ(inc.device_busy_s, full.device_busy_s);
-  ASSERT_EQ(inc.total_compute_s, full.total_compute_s);
-  ASSERT_EQ(inc.total_memcpy_s, full.total_memcpy_s);
+  for (double b : r.device_busy_s) add(b);
+  add(r.total_compute_s);
+  add(r.total_memcpy_s);
+  for (int64_t p : r.peak_memory) add(p);
+  add(r.oom);
+  return h;
 }
 
-class IncrementalSimSweep : public ::testing::TestWithParam<uint64_t> {};
+struct RandomGoldenCase {
+  const char* name;
+  DispatchMode dispatch;
+  double noise_cv;
+  uint64_t digest[8];  // RandomDag seeds 1..8
+};
 
-TEST_P(IncrementalSimSweep, MatchesFullSimulationAfterReplacements) {
-  int n = 0;
-  Graph g = RandomDag(GetParam(), &n);
-  Rng rng(GetParam() * 31 + 7);
-  const int devices = 2 + static_cast<int>(rng.NextBelow(3));
-  const Cluster cluster = Cluster::SingleServer(devices);
-  std::vector<DeviceId> placement;
-  for (int i = 0; i < n; ++i)
-    placement.push_back(
-        static_cast<DeviceId>(rng.NextBelow(static_cast<uint64_t>(devices))));
-  SimOptions options;
-  options.dispatch =
-      rng.NextBool(0.5) ? DispatchMode::kFifo : DispatchMode::kRandom;
-  options.seed = GetParam();
-  options.noise_cv = rng.NextBool(0.5) ? 0.0 : 0.1;
-  options.track_memory = false;
+void PrintTo(const RandomGoldenCase& c, std::ostream* os) { *os << c.name; }
 
-  IncrementalSim inc(g, placement, cluster, options);
-  for (int step = 0; step < 8; ++step) {
-    const auto live = g.LiveOps();
-    const OpId op = live[rng.NextBelow(live.size())];
-    const DeviceId d =
-        static_cast<DeviceId>(rng.NextBelow(static_cast<uint64_t>(devices)));
-    inc.Replace(op, d);
-    const SimResult full = Simulate(g, inc.placement(), cluster, options);
-    ExpectSameSim(g, inc.result(), full);
-  }
-}
+class SimGolden : public ::testing::TestWithParam<RandomGoldenCase> {};
 
-TEST_P(IncrementalSimSweep, MatchesFullSimulationAfterSplits) {
-  int n = 0;
-  Graph g = RandomDag(GetParam() * 977 + 5, &n);
-  Rng rng(GetParam() * 131 + 3);
-  const int devices = 2 + static_cast<int>(rng.NextBelow(3));
-  const Cluster cluster = Cluster::SingleServer(devices);
-  std::vector<DeviceId> placement;
-  for (int i = 0; i < n; ++i)
-    placement.push_back(
-        static_cast<DeviceId>(rng.NextBelow(static_cast<uint64_t>(devices))));
-  SimOptions options;
-  options.dispatch =
-      rng.NextBool(0.5) ? DispatchMode::kFifo : DispatchMode::kRandom;
-  options.seed = GetParam();
-  options.track_memory = false;
-
-  IncrementalSim inc(g, placement, cluster, options);
-  int splits_done = 0;
-  for (int attempt = 0; attempt < 12 && splits_done < 3; ++attempt) {
-    const auto live = g.LiveOps();
-    const OpId op = live[rng.NextBelow(live.size())];
-    const int parts = 2 + static_cast<int>(rng.NextBelow(3));
-    if (!CanSplit(g, op, SplitDim::kBatch, parts)) continue;
-    const SplitResult split = SplitOperation(g, op, SplitDim::kBatch, parts);
-    const auto added = IncrementalSim::AddedOps(split);
-    std::vector<DeviceId> added_devices;
-    for (size_t i = 0; i < added.size(); ++i)
-      added_devices.push_back(static_cast<DeviceId>(
+TEST_P(SimGolden, RandomDagMatchesRecordedDigest) {
+  const RandomGoldenCase& c = GetParam();
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    int n = 0;
+    Graph g = RandomDag(seed, &n);
+    Rng rng(seed * 53 + 11);
+    const int devices = 2 + static_cast<int>(rng.NextBelow(3));
+    std::vector<DeviceId> placement;
+    for (int i = 0; i < n; ++i)
+      placement.push_back(static_cast<DeviceId>(
           rng.NextBelow(static_cast<uint64_t>(devices))));
-    inc.NotifySplit(op, split, added_devices);
-    ++splits_done;
-    const SimResult full = Simulate(g, inc.placement(), cluster, options);
-    ExpectSameSim(g, inc.result(), full);
+    // Two split rewrites leave tombstoned ops and edges in the graph.
+    for (int splits = 0, attempt = 0; splits < 2 && attempt < 32; ++attempt) {
+      const auto live = g.LiveOps();
+      const OpId op = live[rng.NextBelow(live.size())];
+      const int parts = 2 + static_cast<int>(rng.NextBelow(3));
+      if (!CanSplit(g, op, SplitDim::kBatch, parts)) continue;
+      SplitOperation(g, op, SplitDim::kBatch, parts);
+      while (placement.size() < static_cast<size_t>(g.num_slots()))
+        placement.push_back(static_cast<DeviceId>(
+            rng.NextBelow(static_cast<uint64_t>(devices))));
+      ++splits;
+    }
+    ASSERT_LT(g.LiveOps().size(), static_cast<size_t>(g.num_slots()))
+        << "seed " << seed << " never split an op";
 
-    // Interleave a re-placement to exercise mixed update sequences.
-    const auto live2 = g.LiveOps();
-    const OpId op2 = live2[rng.NextBelow(live2.size())];
-    inc.Replace(op2, static_cast<DeviceId>(
-                         rng.NextBelow(static_cast<uint64_t>(devices))));
-    const SimResult full2 = Simulate(g, inc.placement(), cluster, options);
-    ExpectSameSim(g, inc.result(), full2);
+    SimOptions options;
+    options.dispatch = c.dispatch;
+    options.noise_cv = c.noise_cv;
+    options.seed = seed;
+    if (c.dispatch == DispatchMode::kPriority) {
+      options.priorities.resize(static_cast<size_t>(g.num_slots()));
+      for (auto& p : options.priorities)
+        p = static_cast<int64_t>(rng.NextBelow(1000));
+    }
+    const uint64_t digest = DigestOf(
+        g, Simulate(g, placement, Cluster::SingleServer(devices), options));
+    EXPECT_EQ(digest, c.digest[seed - 1])
+        << c.name << " seed " << seed << std::hex << " digest 0x" << digest;
   }
-  EXPECT_GT(splits_done, 0) << "sweep never found a splittable op";
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomEdits, IncrementalSimSweep,
-                         ::testing::Range(uint64_t{1}, uint64_t{25}));
+INSTANTIATE_TEST_SUITE_P(
+    Dispatch, SimGolden,
+    ::testing::Values(
+        RandomGoldenCase{"fifo", DispatchMode::kFifo, 0.0,
+                         {0xde550d4131578d0ULL, 0xd593f6e0401f7774ULL,
+                          0xaecb5273ba33625eULL, 0x4130776f648bbca4ULL,
+                          0xdf548b0dcd9e318eULL, 0x1489451f3e11f7a9ULL,
+                          0x5bc7e05f5a51eca3ULL, 0xceddf5310a9d54f0ULL}},
+        RandomGoldenCase{"fifo_noise", DispatchMode::kFifo, 0.1,
+                         {0x462547074f768bd5ULL, 0x727fde8ef9cc2043ULL,
+                          0x261f5946efe234a5ULL, 0xb24ce96fa07995b2ULL,
+                          0xa4afe9aa181237c9ULL, 0x2e31c295ce303ec6ULL,
+                          0x5f0f01f8d3c72d7ULL, 0x5cb3cab2c83a8ba7ULL}},
+        RandomGoldenCase{"random", DispatchMode::kRandom, 0.0,
+                         {0xea88a312178e5f66ULL, 0x5854f637206b8b10ULL,
+                          0x2291470ac5211af4ULL, 0x399e098f7680b418ULL,
+                          0x5ecb56733943ee52ULL, 0xb572b3d7a4285f53ULL,
+                          0x62a60e005c321452ULL, 0xaf2daab1be2a6c80ULL}},
+        RandomGoldenCase{"random_noise", DispatchMode::kRandom, 0.1,
+                         {0xd7727232a3723d71ULL, 0xe172471c0c6c35b3ULL,
+                          0xe3e6611773604bdcULL, 0x91955fee86f200fcULL,
+                          0x62389c3d8ff8953eULL, 0xac58ccf76eb80089ULL,
+                          0xe50f34cefad63f65ULL, 0x7e7a9fcd242d1475ULL}},
+        RandomGoldenCase{"priority", DispatchMode::kPriority, 0.0,
+                         {0x48c8b34b41f83fccULL, 0x905ecb80b673e7f7ULL,
+                          0xca253c77a99b0718ULL, 0xffd4c322c4bb6ba0ULL,
+                          0x73114d5ffed7c729ULL, 0x7daa9721cc99928eULL,
+                          0x4271c69a4ba690e9ULL, 0xcc2d51daba18110dULL}},
+        RandomGoldenCase{"priority_noise", DispatchMode::kPriority, 0.1,
+                         {0x29e5d644586ec1c0ULL, 0x9ac29b55c0e80becULL,
+                          0xef886875a0f9f409ULL, 0x1465a81b4f06df6fULL,
+                          0x6251fcd197ab26edULL, 0xaac6b526011d4080ULL,
+                          0x46cec92a9a539252ULL, 0xc5825f883a6062cULL}}),
+    [](const ::testing::TestParamInfo<RandomGoldenCase>& info) {
+      return std::string(info.param.name);
+    });
+
+struct ModelGoldenCase {
+  const char* model;
+  int servers;
+  int gpus_per_server;
+  uint64_t digest;
+};
+
+void PrintTo(const ModelGoldenCase& c, std::ostream* os) { *os << c.model; }
+
+class SimModelGolden : public ::testing::TestWithParam<ModelGoldenCase> {};
+
+TEST_P(SimModelGolden, DataParallelMatchesRecordedDigest) {
+  const ModelGoldenCase& c = GetParam();
+  const ModelSpec& spec = FindModel(c.model);
+  const Cluster cluster =
+      c.servers == 1 ? Cluster::SingleServer(c.gpus_per_server)
+                     : Cluster::MultiServer(c.servers, c.gpus_per_server);
+  const auto dp = BuildDataParallel(spec.build, spec.name, spec.strong_batch,
+                                    cluster.num_devices(), Scaling::kStrong);
+  SimOptions options;
+  options.track_memory = true;
+  const uint64_t digest = DigestOf(
+      dp.graph,
+      Simulate(dp.graph, CanonicalDataParallelPlacement(dp), cluster, options));
+  EXPECT_EQ(digest, c.digest) << c.model << std::hex << " digest 0x" << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperSizes, SimModelGolden,
+    ::testing::Values(
+        ModelGoldenCase{"inception_v3", 1, 8, 0x96ebc45c0507d9c0ULL},
+        ModelGoldenCase{"rnnlm", 2, 8, 0xe3df65e8027801d8ULL}),
+    [](const ::testing::TestParamInfo<ModelGoldenCase>& info) {
+      return std::string(info.param.model);
+    });
 
 }  // namespace
 }  // namespace fastt
