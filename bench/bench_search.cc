@@ -25,6 +25,7 @@
 #include "core/portfolio.h"
 #include "core/strategy_io.h"
 #include "obs/bench_history.h"
+#include "obs/metrics.h"
 #include "obs/prof_export.h"
 #include "obs/profiler.h"
 #include "obs/tracer.h"
@@ -113,11 +114,12 @@ SearchAllocStats MeasureSearchAllocs(const SearchInput& in, int jobs,
     (void)os;
     s.allocs.push_back(static_cast<double>(mem.total_allocs()));
     s.peak_bytes.push_back(static_cast<double>(mem.total_peak_bytes()));
-    // The interned-handle contract: the search hot path records metrics
-    // through pre-resolved handles and never allocates obs-tagged memory,
-    // so this series pins at the fixed per-search setup count (event-log
-    // lines from the committed rounds). A jump here means someone put a
-    // string-keyed metric lookup back inside the probe loop.
+    // The no-allocation span contract: once a metric name exists in the
+    // registry, recording under it (spans, counters) allocates no
+    // obs-tagged memory, so this series pins at the fixed per-search setup
+    // count (event-log lines from the committed rounds). A jump here means
+    // the probe loop records under a name that is new on every call, or a
+    // lookup started building strings again.
     s.obs_allocs.push_back(static_cast<double>(mem.stats(MemTag::kObs).allocs));
   }
   SetSearchJobs(1);

@@ -1,13 +1,11 @@
 #include "core/dpos.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <queue>
 
 #include "core/rank.h"
 #include "core/timeline.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "util/check.h"
@@ -34,17 +32,11 @@ struct ReadyOp {
 DposResult Dpos(const Graph& g, const Cluster& cluster,
                 const CompCostModel& comp, const CommCostModel& comm,
                 const DposOptions& options) {
-  // Resolve the ambient registry once; the latency histogram records
-  // through an interned handle so the per-call instrumentation does no
-  // string allocation (Dpos runs once per OS-DPOS trial on pool workers).
-  MetricsRegistry& reg = CurrentMetrics();
-  ScopedTimerRef total_timer(reg, reg.TimerRef("dpos/total"));
   FASTT_TRACE_SPAN("dpos/total");
-  ScopedLatencyRef latency_hist(reg, reg.HistogramRef("dpos/latency_s"));
   // Everything Dpos allocates below — scratch vectors, the ready queue, the
   // timelines — inherits the dpos tag through the ambient scope.
   MemTagScope mem_scope(MemTag::kDpos);
-  reg.AddCounter("dpos/invocations");
+  CurrentMetrics().AddCounter("dpos/invocations");
   const int32_t n_dev = cluster.num_devices();
   FASTT_CHECK(n_dev >= 1);
   const size_t slots = static_cast<size_t>(g.num_slots());
@@ -280,11 +272,6 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
     return score;
   };
 
-  const char* trace = std::getenv("FASTT_DPOS_TRACE");
-  // Setting FASTT_DPOS_TRACE alone is enough to see the per-device score
-  // lines: opt-in diagnostics imply debug verbosity for their own output.
-  if (trace != nullptr) EnsureLogThresholdAtLeast(LogLevel::kDebug);
-
   // Full candidate table for one op, as the scheduler would have seen it at
   // decision time. Evaluation-only (ready_time / EarliestSlot / device_score
   // never mutate the channel or timeline state), so recording after the
@@ -336,14 +323,9 @@ DposResult Dpos(const Graph& g, const Cluster& cluster,
     } else {
       // Min-(EFT + communication affinity) over memory-feasible devices, in
       // device order: the first strict improvement wins ties.
-      const bool tracing =
-          trace != nullptr && o.name.find(trace) != std::string::npos;
       double best_score = kInf;
       for (DeviceId d = 0; d < n_dev; ++d) {
         const double score = device_score(op, d);
-        if (tracing)
-          FASTT_LOG(Debug, "dpos %-28s d%d: score=%.4f", o.name.c_str(), d,
-                    score);
         if (score < best_score) {
           best_score = score;
           chosen = d;

@@ -26,16 +26,8 @@ std::vector<int> CandidateSplitCounts(int num_devices) {
 OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
                     const CompCostModel& comp, const CommCostModel& comm,
                     const OsDposOptions& options) {
-  FASTT_SCOPED_TIMER("os_dpos/total");
   FASTT_TRACE_SPAN("osdpos/total");
-  // Resolve the ambient registry once and intern the per-trial histogram
-  // name up front: the trial lambda below runs on pool workers at full
-  // fan-out, and recording through the handle does no string construction
-  // or allocation there (pinned by the memtrack obs-tag gate in
-  // bench_search).
   MetricsRegistry& metrics = CurrentMetrics();
-  const MetricsRegistry::HistogramHandle trial_latency =
-      metrics.HistogramRef("osdpos/trial_latency_s");
   metrics.AddCounter("os_dpos/invocations");
   OsDposResult result;
   result.graph = g;
@@ -93,7 +85,6 @@ OsDposResult OsDpos(const Graph& g, const Cluster& cluster,
     }
     ParallelFor(trials.size(), [&](size_t i) {
       FASTT_TRACE_SPAN("osdpos/trial");
-      ScopedLatencyRef latency(metrics, trial_latency);
       Trial& t = trials[i];
       Graph trial = result.graph;
       SplitOperation(trial, op, t.dim, t.n);

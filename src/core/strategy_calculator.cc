@@ -195,8 +195,7 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
                           const std::string& model_name, int64_t batch,
                           Scaling scaling, const Cluster& cluster,
                           const CalculatorOptions& options) {
-  FASTT_SCOPED_TIMER("calculator/run_fastt");
-  const auto host_start = Clock::now();
+  FASTT_TRACE_SPAN("calculator/run_fastt");
   CalculatorResult result;
 
   // ---- choose the start strategy (paper §4 / §5.2) -------------------------
@@ -501,7 +500,6 @@ CalculatorResult RunFastT(const ModelBuildFn& build,
   metrics.AddCounter("calculator/activations", result.activations);
   metrics.SetGauge("calculator/last_iteration_s", result.iteration_s);
   metrics.SetGauge("calculator/last_strategy_time_s", result.strategy_time_s);
-  (void)host_start;
   return result;
 }
 

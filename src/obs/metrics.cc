@@ -148,99 +148,86 @@ bool HistogramFromJson(const JsonValue& v, HistogramSnapshot* out) {
 
 // ---- Registry -------------------------------------------------------------
 
+namespace {
+
+// The cell for `name`, inserted (value-initialized) only when the name is
+// new: recording under a known name builds no std::string and allocates
+// nothing. Callers hold the registry's mutex.
+template <typename Map>
+typename Map::mapped_type& Cell(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.try_emplace(std::string(name)).first;
+  return it->second;
+}
+
+}  // namespace
+
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }
 
-void MetricsRegistry::AddCounter(const std::string& name, int64_t delta) {
+void MetricsRegistry::AddCounter(std::string_view name, int64_t delta) {
   MutexLock lock(mu_);
-  counters_[name].fetch_add(delta, std::memory_order_relaxed);
+  Cell(counters_, name).fetch_add(delta, std::memory_order_relaxed);
 }
 
-int64_t MetricsRegistry::counter(const std::string& name) const {
+int64_t MetricsRegistry::counter(std::string_view name) const {
   MutexLock lock(mu_);
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0
                                : it->second.load(std::memory_order_relaxed);
 }
 
-std::atomic<int64_t>& MetricsRegistry::CounterRef(const std::string& name) {
+std::atomic<int64_t>& MetricsRegistry::CounterRef(std::string_view name) {
   MutexLock lock(mu_);
   // Node-stable: the returned atomic lives as long as the registry. Only
   // the map *structure* needs mu_; bumping the atomic afterwards doesn't.
-  return counters_[name];
+  return Cell(counters_, name);
 }
 
-void MetricsRegistry::SetGauge(const std::string& name, double value) {
+void MetricsRegistry::SetGauge(std::string_view name, double value) {
   MutexLock lock(mu_);
-  gauges_[name] = value;
+  Cell(gauges_, name) = value;
 }
 
-double MetricsRegistry::gauge(const std::string& name) const {
+double MetricsRegistry::gauge(std::string_view name) const {
   MutexLock lock(mu_);
   const auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-void MetricsRegistry::RecordTimer(const std::string& name, double seconds) {
+void MetricsRegistry::RecordTimer(std::string_view name, double seconds) {
   MutexLock lock(mu_);
-  Timer& t = timers_[name];
+  Timer& t = Cell(timers_, name);
   ++t.count;
   t.total_s += seconds;
 }
 
-double MetricsRegistry::timer_total_s(const std::string& name) const {
+double MetricsRegistry::timer_total_s(std::string_view name) const {
   MutexLock lock(mu_);
   const auto it = timers_.find(name);
   return it == timers_.end() ? 0.0 : it->second.total_s;
 }
 
-int64_t MetricsRegistry::timer_count(const std::string& name) const {
+int64_t MetricsRegistry::timer_count(std::string_view name) const {
   MutexLock lock(mu_);
   const auto it = timers_.find(name);
   return it == timers_.end() ? 0 : it->second.count;
 }
 
-MetricsRegistry::TimerHandle MetricsRegistry::TimerRef(
-    const std::string& name) {
+void MetricsRegistry::RecordHistogram(std::string_view name, double value) {
   MutexLock lock(mu_);
-  TimerHandle h;
-  h.cell_ = &timers_[name];  // node-stable, survives Reset()
-  return h;
+  Cell(histograms_, name).Record(value);
 }
 
-MetricsRegistry::HistogramHandle MetricsRegistry::HistogramRef(
-    const std::string& name) {
-  MutexLock lock(mu_);
-  HistogramHandle h;
-  h.cell_ = &histograms_[name];  // node-stable, survives Reset()
-  return h;
-}
-
-void MetricsRegistry::Record(TimerHandle handle, double seconds) {
-  MutexLock lock(mu_);
-  ++handle.cell_->count;
-  handle.cell_->total_s += seconds;
-}
-
-void MetricsRegistry::Record(HistogramHandle handle, double value) {
-  MutexLock lock(mu_);
-  handle.cell_->Record(value);
-}
-
-void MetricsRegistry::RecordHistogram(const std::string& name, double value) {
-  MutexLock lock(mu_);
-  histograms_[name].Record(value);
-}
-
-void MetricsRegistry::SetHistogram(const std::string& name,
+void MetricsRegistry::SetHistogram(std::string_view name,
                                    const HistogramSnapshot& snap) {
   MutexLock lock(mu_);
-  histograms_[name] = snap;
+  Cell(histograms_, name) = snap;
 }
 
-HistogramSnapshot MetricsRegistry::histogram(const std::string& name) const {
+HistogramSnapshot MetricsRegistry::histogram(std::string_view name) const {
   MutexLock lock(mu_);
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? HistogramSnapshot{} : it->second;

@@ -1,23 +1,27 @@
 // Process-wide metrics: named counters, gauges, accumulating timers and
-// log-bucketed histograms with RAII scope helpers, exported as JSON.
+// log-bucketed histograms, exported as JSON.
 //
 // Everything FastT does — DPOS invocations, split probes, simulated runs,
 // rollbacks — funnels through a handful of hot loops; the registry makes
 // those loops observable without plumbing a context object through every
 // call site. All operations are thread-safe (searchers and parallel probes
-// bump counters concurrently); the maps use node-stable storage so handles
-// returned once stay valid for the registry's lifetime, and Reset() zeroes
-// values in place rather than erasing nodes, so a handle held across a
-// Reset stays valid too.
+// bump counters concurrently). Names are looked up by std::string_view and
+// inserted only when new, so recording under a name that already exists
+// allocates nothing; the maps use node-stable storage, and Reset() zeroes
+// values in place rather than erasing nodes, so a CounterRef held across a
+// Reset stays valid.
 //
 // Timers answer "how much, in total"; histograms answer "how is it
-// distributed" (p50/p90/p99) — use a histogram where a mean hides the story:
-// probe latencies, allocation sizes.
+// distributed" (p50/p90/p99) — use a histogram where a mean hides the story,
+// such as allocation sizes.
+//
+// A region is timed one way: FASTT_TRACE_SPAN (below), which adds the
+// scope's wall time to the timer of the same name and, when tracing is on,
+// also records a span in the tracer's ring.
 //
 // Typical use:
 //   MetricsRegistry::Global().AddCounter("dpos/invocations");
-//   { FASTT_SCOPED_TIMER("dpos/total"); ... }
-//   MetricsRegistry::Global().RecordHistogram("osdpos/trial_latency_s", dt);
+//   { FASTT_TRACE_SPAN("dpos/total"); ... }
 //   WriteMetricsJson("out.json", MetricsRegistry::Global());
 #pragma once
 
@@ -26,9 +30,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/tracer.h"
 #include "util/memtrack.h"
 #include "util/sync.h"
 
@@ -85,9 +91,6 @@ bool HistogramFromJson(const JsonValue& v, HistogramSnapshot* out);
 // ---- Registry -------------------------------------------------------------
 
 class MetricsRegistry {
- private:
-  struct Timer;  // accumulated seconds + call count; defined below
-
  public:
   // The process-wide registry: the sink for instrumented library code when
   // no ambient TelemetryContext is installed (see CurrentMetrics below).
@@ -99,54 +102,28 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // ---- Counters (monotonic int64) ----------------------------------------
-  void AddCounter(const std::string& name, int64_t delta = 1);
-  int64_t counter(const std::string& name) const;  // 0 if absent
+  void AddCounter(std::string_view name, int64_t delta = 1);
+  int64_t counter(std::string_view name) const;  // 0 if absent
   // Node-stable handle for hot instrumented code: bump it with relaxed
   // fetch_add and skip the name lookup. Valid for the registry's lifetime,
   // across Reset() included (Reset zeroes it in place).
-  std::atomic<int64_t>& CounterRef(const std::string& name);
+  std::atomic<int64_t>& CounterRef(std::string_view name);
 
   // ---- Gauges (last-written double) --------------------------------------
-  void SetGauge(const std::string& name, double value);
-  double gauge(const std::string& name) const;  // 0 if absent
+  void SetGauge(std::string_view name, double value);
+  double gauge(std::string_view name) const;  // 0 if absent
 
   // ---- Timers (accumulated seconds + call count) -------------------------
-  void RecordTimer(const std::string& name, double seconds);
-  double timer_total_s(const std::string& name) const;
-  int64_t timer_count(const std::string& name) const;
-
-  // Interned handles for hot instrumented paths: resolve the name once,
-  // record through the handle with zero string construction, copying or
-  // hashing afterwards. Like CounterRef, handles are node-stable for the
-  // registry's lifetime, across Reset() included. A default-constructed
-  // handle is null and must not be recorded through.
-  class TimerHandle {
-   public:
-    TimerHandle() = default;
-
-   private:
-    friend class MetricsRegistry;
-    Timer* cell_ = nullptr;
-  };
-  class HistogramHandle {
-   public:
-    HistogramHandle() = default;
-
-   private:
-    friend class MetricsRegistry;
-    HistogramSnapshot* cell_ = nullptr;
-  };
-  TimerHandle TimerRef(const std::string& name);
-  HistogramHandle HistogramRef(const std::string& name);
-  void Record(TimerHandle handle, double seconds);
-  void Record(HistogramHandle handle, double value);
+  void RecordTimer(std::string_view name, double seconds);
+  double timer_total_s(std::string_view name) const;
+  int64_t timer_count(std::string_view name) const;
 
   // ---- Histograms (log2 buckets, see HistogramSnapshot) ------------------
-  void RecordHistogram(const std::string& name, double value);
+  void RecordHistogram(std::string_view name, double value);
   // Replaces the stored histogram wholesale — for republished snapshots
   // (PublishMemMetrics), the histogram analogue of SetGauge.
-  void SetHistogram(const std::string& name, const HistogramSnapshot& snap);
-  HistogramSnapshot histogram(const std::string& name) const;  // empty if absent
+  void SetHistogram(std::string_view name, const HistogramSnapshot& snap);
+  HistogramSnapshot histogram(std::string_view name) const;  // empty if absent
 
   // Zeroes every metric IN PLACE: names and node addresses survive, values
   // reset. Long-lived code holding a CounterRef keeps a valid (zeroed)
@@ -178,12 +155,13 @@ class MetricsRegistry {
     double total_s = 0.0;
   };
   // std::map: deterministic export order and node stability under insert.
-  // Node storage is charged to MemTag::kObs explicitly (not the ambient
-  // tag: registries are constructed and first-touched under arbitrary
-  // scopes), so memtrack can assert the interned-handle hot path performs
-  // no obs-tagged allocation.
+  // std::less<> makes lookups by string_view transparent, so recording
+  // under an existing name builds no std::string. Node storage is charged
+  // to MemTag::kObs explicitly (not the ambient tag: registries are
+  // constructed and first-touched under arbitrary scopes), so memtrack can
+  // assert that spans on known names perform no obs-tagged allocation.
   template <typename V>
-  using TaggedMap = std::map<std::string, V, std::less<std::string>,
+  using TaggedMap = std::map<std::string, V, std::less<>,
                              TaggedAlloc<std::pair<const std::string, V>>>;
   template <typename V>
   static TaggedMap<V> MakeMap() {
@@ -207,93 +185,29 @@ class MetricsRegistry {
 // thread, else the process global. Defined in obs/context.cc.
 MetricsRegistry& CurrentMetrics();
 
-// RAII timer: accumulates the scope's wall time under `name` on destruction.
-class ScopedTimer {
+// RAII region timer behind FASTT_TRACE_SPAN: adds the scope's wall time to
+// the timer `name` in the ambient registry, tracing on or off, and holds a
+// TraceScope so the region is also a ring span when tracing is on. The
+// registry is resolved and pinned at entry, like the tracer. `name` must
+// be a string literal (the ring stores the pointer).
+class TimedScope {
  public:
-  ScopedTimer(MetricsRegistry& registry, std::string name)
-      : registry_(registry),
-        name_(std::move(name)),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
+  explicit TimedScope(const char* name)
+      : name_(name), registry_(CurrentMetrics()), trace_(name) {}
+  ~TimedScope() {
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     registry_.RecordTimer(name_,
                           std::chrono::duration<double>(elapsed).count());
   }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
+  TimedScope(const TimedScope&) = delete;
+  TimedScope& operator=(const TimedScope&) = delete;
 
  private:
+  const char* name_;
   MetricsRegistry& registry_;
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-// RAII latency sample: records the scope's wall time into a histogram —
-// the distribution-preserving sibling of ScopedTimer.
-class ScopedLatencyHistogram {
- public:
-  ScopedLatencyHistogram(MetricsRegistry& registry, std::string name)
-      : registry_(registry),
-        name_(std::move(name)),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedLatencyHistogram() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    registry_.RecordHistogram(
-        name_, std::chrono::duration<double>(elapsed).count());
-  }
-  ScopedLatencyHistogram(const ScopedLatencyHistogram&) = delete;
-  ScopedLatencyHistogram& operator=(const ScopedLatencyHistogram&) = delete;
-
- private:
-  MetricsRegistry& registry_;
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-// RAII timer through a pre-interned handle: the hot-path sibling of
-// ScopedTimer — no string member, no name lookup at record time.
-class ScopedTimerRef {
- public:
-  ScopedTimerRef(MetricsRegistry& registry, MetricsRegistry::TimerHandle h)
-      : registry_(registry),
-        handle_(h),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimerRef() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    registry_.Record(handle_,
-                     std::chrono::duration<double>(elapsed).count());
-  }
-  ScopedTimerRef(const ScopedTimerRef&) = delete;
-  ScopedTimerRef& operator=(const ScopedTimerRef&) = delete;
-
- private:
-  MetricsRegistry& registry_;
-  MetricsRegistry::TimerHandle handle_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-// RAII latency sample through a pre-interned handle: the hot-path sibling
-// of ScopedLatencyHistogram. The per-trial OS-DPOS instrumentation uses
-// this so the instrumented path performs no string allocation.
-class ScopedLatencyRef {
- public:
-  ScopedLatencyRef(MetricsRegistry& registry,
-                   MetricsRegistry::HistogramHandle h)
-      : registry_(registry),
-        handle_(h),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedLatencyRef() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    registry_.Record(handle_,
-                     std::chrono::duration<double>(elapsed).count());
-  }
-  ScopedLatencyRef(const ScopedLatencyRef&) = delete;
-  ScopedLatencyRef& operator=(const ScopedLatencyRef&) = delete;
-
- private:
-  MetricsRegistry& registry_;
-  MetricsRegistry::HistogramHandle handle_;
-  std::chrono::steady_clock::time_point start_;
+  TraceScope trace_;
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
 };
 
 // Full metrics document: the registry plus (optionally) a structured event
@@ -321,14 +235,10 @@ void PublishMemMetrics(MetricsRegistry& registry);
 
 }  // namespace fastt
 
-#define FASTT_TIMER_CONCAT2(a, b) a##b
-#define FASTT_TIMER_CONCAT(a, b) FASTT_TIMER_CONCAT2(a, b)
-// Times the enclosing scope into the ambient registry under `name`.
-#define FASTT_SCOPED_TIMER(name)                         \
-  ::fastt::ScopedTimer FASTT_TIMER_CONCAT(fastt_scoped_timer_, __LINE__)( \
-      ::fastt::CurrentMetrics(), (name))
-// Records the enclosing scope's wall time into a latency histogram.
-#define FASTT_SCOPED_LATENCY_HISTOGRAM(name)                 \
-  ::fastt::ScopedLatencyHistogram FASTT_TIMER_CONCAT(        \
-      fastt_scoped_latency_, __LINE__)(                      \
-      ::fastt::CurrentMetrics(), (name))
+#define FASTT_TRACE_CONCAT2(a, b) a##b
+#define FASTT_TRACE_CONCAT(a, b) FASTT_TRACE_CONCAT2(a, b)
+// Times the enclosing scope as the region `name` (string literal): one
+// timer record in the ambient registry, plus a ring span when tracing is on.
+#define FASTT_TRACE_SPAN(name)                              \
+  ::fastt::TimedScope FASTT_TRACE_CONCAT(fastt_trace_scope_, \
+                                         __LINE__)(name)

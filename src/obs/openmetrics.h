@@ -10,8 +10,8 @@
 //                   (only the registry's non-empty buckets, plus the
 //                   mandatory `le="+Inf"`), `<name>_sum` and `<name>_count`
 // The exposition ends with the required `# EOF` line. Registry names like
-// "dpos/latency_s" are sanitized to the metric-name charset and prefixed:
-// "fastt_dpos_latency_s".
+// "dpos/list_schedule" are sanitized to the metric-name charset and
+// prefixed: "fastt_dpos_list_schedule".
 #pragma once
 
 #include <string>

@@ -11,10 +11,12 @@
 // copying on the hot path) and a timestamp relative to the epoch set by
 // Enable().
 //
-// Cost when disabled: every macro boils down to one relaxed atomic load and
-// a branch — unmeasurable next to the work being traced — and defining
-// FASTT_NO_TRACING compiles the macros out entirely. Cost when enabled: a
-// clock read plus one ring slot write per event.
+// Cost when disabled: a TraceScope or FASTT_TRACE_INSTANT/COUNTER boils
+// down to one relaxed atomic load and a branch. Cost when enabled: a clock
+// read plus one ring slot write per event. FASTT_TRACE_SPAN (obs/metrics.h)
+// wraps a TraceScope and always adds the region's wall time to the metrics
+// registry as well, so a span costs two clock reads and one registry update
+// even with tracing off.
 //
 // Draining (Tracer::Drain) pairs begin/end events into completed spans and
 // requires quiescence: no instrumented code may be emitting concurrently.
@@ -31,8 +33,9 @@
 // the ambient slot and check that tracer's own flag.
 //
 // This header is dependency-free (library fastt_tracer) so the thread pool
-// in fastt_util can be instrumented without a util <-> obs cycle; Chrome
-// JSON export and summarization live in obs/trace_export.h.
+// in fastt_util can be instrumented without a util <-> obs cycle: the pool's
+// pool/run and pool/task spans are bare TraceScopes, ring-only. Chrome JSON
+// export and summarization live in obs/trace_export.h.
 #pragma once
 
 #include <atomic>
@@ -175,7 +178,7 @@ inline Tracer& CurrentTracer() {
   return ambient != nullptr ? *ambient : Tracer::Global();
 }
 
-// RAII span. Resolves and pins the ambient tracer at entry so a span opened
+// RAII ring-only span. Resolves and pins the ambient tracer at entry so a span opened
 // while tracing is on always closes on the same sink (Disable mid-span
 // leaves at worst one unpaired end, which the drain drops). Every opened
 // span is also pushed on the per-thread ProfSpanStack (obs/profiler.h) so
@@ -209,14 +212,6 @@ class TraceScope {
 
 }  // namespace fastt
 
-#define FASTT_TRACE_CONCAT2(a, b) a##b
-#define FASTT_TRACE_CONCAT(a, b) FASTT_TRACE_CONCAT2(a, b)
-
-#ifndef FASTT_NO_TRACING
-// Times the enclosing scope as a span named `name` (string literal).
-#define FASTT_TRACE_SPAN(name)                              \
-  ::fastt::TraceScope FASTT_TRACE_CONCAT(fastt_trace_scope_, \
-                                         __LINE__)(name)
 // One instant marker / counter sample with a numeric value.
 #define FASTT_TRACE_INSTANT(name, value)                            \
   do {                                                              \
@@ -234,8 +229,3 @@ class TraceScope {
         fastt_trace_t.Counter((name), static_cast<double>(value));  \
     }                                                               \
   } while (0)
-#else
-#define FASTT_TRACE_SPAN(name) ((void)0)
-#define FASTT_TRACE_INSTANT(name, value) ((void)0)
-#define FASTT_TRACE_COUNTER(name, value) ((void)0)
-#endif

@@ -111,7 +111,7 @@ bool PlacementParamsFit(const Graph& g,
 
 SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
                    const Cluster& cluster, const SimOptions& options) {
-  FASTT_SCOPED_TIMER("sim/simulate");
+  FASTT_TRACE_SPAN("sim/simulate");
   const auto live = g.LiveOps();
   FASTT_CHECK_MSG(placement.size() >= static_cast<size_t>(g.num_slots()),
                   "placement must cover all op slots");

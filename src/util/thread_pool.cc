@@ -66,7 +66,7 @@ void ThreadPool::WorkerLoop(int worker_index) {
     worker_tasks_[static_cast<size_t>(worker_index)].fetch_add(
         1, std::memory_order_relaxed);
     {
-      FASTT_TRACE_SPAN("pool/task");
+      TraceScope span("pool/task");
       task.fn();
     }
   }
@@ -93,7 +93,7 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  FASTT_TRACE_SPAN("pool/run");
+  TraceScope span("pool/run");
   batches_.fetch_add(1, std::memory_order_relaxed);
   // Static contiguous partition: chunk c covers [c*n/k, (c+1)*n/k). The
   // partition depends only on (n, chunks), never on thread timing, so every

@@ -125,15 +125,20 @@ TEST(TelemetryContextTest, ContextTracerIsIsolatedFromGlobal) {
   const TraceDump dump = context.tracer().Drain();
   ASSERT_EQ(dump.spans.size(), 1u);
   EXPECT_STREQ(dump.spans[0].name, "ctx/span");
+  // With tracing on, the span is one ring span and also exactly one timer
+  // record, not two of either.
+  EXPECT_EQ(context.metrics().timer_count("ctx/span"), 1);
   // The process tracer saw nothing (it was never enabled; draining it
   // would also steal other tests' state, so just check the fast flag).
   EXPECT_FALSE(Tracer::Global().enabled());
 }
 
 // The per-context outcome of one instrumented OS-DPOS search: counters,
-// the full JSONL event stream, and the committed strategy.
+// per-name timer (span) counts, the full JSONL event stream, and the
+// committed strategy.
 struct SearchOutcome {
   std::map<std::string, int64_t> counters;
+  std::map<std::string, int64_t> timer_counts;
   std::string events;
   std::string strategy;
 };
@@ -156,7 +161,10 @@ SearchOutcome RunInstrumentedSearch(const Graph& g, const Cluster& cluster,
         .Int("probes", result.probes);
     out.strategy = SerializeStrategy(result.schedule.strategy);
   }
-  out.counters = context.metrics().TakeSnapshot().counters;
+  const MetricsRegistry::Snapshot snap = context.metrics().TakeSnapshot();
+  out.counters = snap.counters;
+  for (const auto& [name, timer] : snap.timers)
+    out.timer_counts[name] = timer.count;
   out.events = context.events().ToJsonl();
   return out;
 }
@@ -181,8 +189,10 @@ void SeedCostModels(const Graph& g, const Cluster& cluster, uint64_t seed,
 // The acceptance-critical property: two contexts running interleaved
 // searches on different threads — sharing the process-wide search pool —
 // collect byte-identical counters and event streams to the same searches
-// run serially. Timers and histograms carry wall-clock and are excluded;
-// everything deterministic must match exactly.
+// run serially. Timer totals carry wall-clock and are excluded, but timer
+// counts are deterministic: spans opened on pool workers (osdpos/trial and
+// the Dpos spans beneath it) must land exactly once in the submitter's
+// context. Everything deterministic must match exactly.
 TEST(TelemetryContextTest, InterleavedSearchesMatchSerialByteForByte) {
   JobsGuard guard;
   const Cluster cluster = Cluster::SingleServer(4);
@@ -200,6 +210,8 @@ TEST(TelemetryContextTest, InterleavedSearchesMatchSerialByteForByte) {
       RunInstrumentedSearch(g2, cluster, comp2, comm2, 2);
   ASSERT_FALSE(serial1.counters.empty());
   ASSERT_FALSE(serial2.counters.empty());
+  ASSERT_GT(serial1.timer_counts.count("osdpos/trial"), 0u);
+  ASSERT_GT(serial2.timer_counts.count("osdpos/trial"), 0u);
 
   SearchOutcome racing1, racing2;
   std::thread t1([&] {
@@ -213,6 +225,8 @@ TEST(TelemetryContextTest, InterleavedSearchesMatchSerialByteForByte) {
 
   EXPECT_EQ(racing1.counters, serial1.counters);
   EXPECT_EQ(racing2.counters, serial2.counters);
+  EXPECT_EQ(racing1.timer_counts, serial1.timer_counts);
+  EXPECT_EQ(racing2.timer_counts, serial2.timer_counts);
   EXPECT_EQ(racing1.events, serial1.events);
   EXPECT_EQ(racing2.events, serial2.events);
   EXPECT_EQ(racing1.strategy, serial1.strategy);
@@ -220,6 +234,32 @@ TEST(TelemetryContextTest, InterleavedSearchesMatchSerialByteForByte) {
   // And the two contexts saw different work, so identical outcomes are not
   // vacuous.
   EXPECT_NE(serial1.counters, serial2.counters);
+}
+
+// The simulator's sim/simulate span is what callers read to attribute time
+// to simulation (a searcher's Simulate calls are subtracted from its wall
+// time by the delta of this timer), so with tracing off every Simulate call
+// must add exactly one count, with a positive total, to the ambient
+// context's registry.
+TEST(TelemetryContextTest, SimulateTimesEachCallOnceInAmbientContext) {
+  ASSERT_FALSE(TracingActive());
+  const Cluster cluster = Cluster::SingleServer(2);
+  const Graph g = BuildSingle(FindModel("lenet"), 16);
+  const std::vector<DeviceId> placement(static_cast<size_t>(g.num_slots()),
+                                        0);
+  const int64_t process_before =
+      MetricsRegistry::Global().timer_count("sim/simulate");
+  TelemetryContext context;
+  {
+    TelemetryScope scope(context);
+    for (int i = 0; i < 3; ++i) {
+      Simulate(g, placement, cluster, SimOptions{});
+      EXPECT_EQ(context.metrics().timer_count("sim/simulate"), i + 1);
+    }
+  }
+  EXPECT_GT(context.metrics().timer_total_s("sim/simulate"), 0.0);
+  EXPECT_EQ(MetricsRegistry::Global().timer_count("sim/simulate"),
+            process_before);
 }
 
 // A deliberately aborted process leaves a fastt-blackbox/1 dump carrying

@@ -222,12 +222,14 @@ TEST(Metrics, ConcurrentCounterBumpsAreExact) {
   EXPECT_EQ(r.counter("shared"), int64_t{kThreads} * kBumps);
 }
 
-TEST(Metrics, ScopedTimerNests) {
-  MetricsRegistry r;
+TEST(Metrics, SpansNest) {
+  TelemetryContext context;
+  MetricsRegistry& r = context.metrics();
   {
-    ScopedTimer outer(r, "outer");
+    TelemetryScope scope(context);
+    FASTT_TRACE_SPAN("outer");
     {
-      ScopedTimer inner(r, "inner");
+      FASTT_TRACE_SPAN("inner");
       // Busy-wait a little so inner has measurable duration.
       volatile double sink = 0;
       for (int i = 0; i < 100000; ++i) sink = sink + i;
@@ -419,14 +421,6 @@ TEST(Histogram, RegistryRecordsAndExports) {
   EXPECT_TRUE(JsonValidate(json));
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"probe/latency_s\""), std::string::npos);
-  {
-    ScopedLatencyHistogram scope(r, "scoped/latency_s");
-    volatile double sink = 0;
-    for (int i = 0; i < 1000; ++i) sink = sink + i;
-    (void)sink;
-  }
-  EXPECT_EQ(r.histogram("scoped/latency_s").count, 1);
-  EXPECT_GT(r.histogram("scoped/latency_s").max, 0.0);
 }
 
 // ---- PublishMemMetrics ----------------------------------------------------
@@ -715,21 +709,6 @@ TEST(Log, ParseLevelRoundTrip) {
   EXPECT_FALSE(ParseLogLevel("", &parsed));
 }
 
-TEST(Log, EnsureRaisesDefaultButNeverOverridesExplicit) {
-  ::unsetenv("FASTT_LOG_LEVEL");
-  // Untouched default: warn. An opt-in diagnostic may raise it...
-  ASSERT_EQ(LogThreshold(), LogLevel::kWarn);
-  EXPECT_FALSE(LogEnabled(LogLevel::kDebug));
-  EnsureLogThresholdAtLeast(LogLevel::kDebug);
-  EXPECT_TRUE(LogEnabled(LogLevel::kDebug));
-  // ...but an explicit choice wins over any later courtesy raise —
-  // `--log-level error` must stay quiet even with trace env vars set.
-  SetLogThreshold(LogLevel::kError);
-  EnsureLogThresholdAtLeast(LogLevel::kDebug);
-  EXPECT_EQ(LogThreshold(), LogLevel::kError);
-  EXPECT_FALSE(LogEnabled(LogLevel::kWarn));
-}
-
 TEST(Log, MessagesLandInAmbientEventLog) {
   SetLogThreshold(LogLevel::kInfo);
   TelemetryContext context;
@@ -866,47 +845,56 @@ TEST(RunReport, OptionalSectionsAreOmittedWhenUnset) {
   EXPECT_EQ(doc.Find("trace_phases"), nullptr);
 }
 
-// ---- Interned metric handles ---------------------------------------------
+// ---- Span recording into the registry --------------------------------------
 
-// The instrumented DPOS/OS-DPOS hot paths record latencies through
-// preformatted handles; the contract is zero obs-tagged heap allocations
-// per Record. (Interning itself may allocate — that happens once, before
-// the measured window.)
+// The instrumented DPOS/OS-DPOS hot paths time regions with spans; the
+// contract is zero obs-tagged heap allocations per span once the name's
+// timer cell exists. (The first use inserts the cell — that happens once,
+// before the measured window.) The name is longer than any small-string
+// buffer, so a lookup that built a std::string would show up here.
 TEST(Metrics, HandleRecordDoesNotAllocate) {
-  MetricsRegistry registry;
-  const MetricsRegistry::TimerHandle timer = registry.TimerRef("dpos/total");
-  const MetricsRegistry::HistogramHandle hist =
-      registry.HistogramRef("dpos/latency_s");
+  TelemetryContext context;
+  TelemetryScope scope(context);
+  { FASTT_TRACE_SPAN("dpos/list_schedule"); }
 
   MemTracker& mem = MemTracker::Global();
   mem.Enable();
   const int64_t before = mem.stats(MemTag::kObs).allocs;
+  const int64_t before_total = mem.total_allocs();
   for (int i = 0; i < 1000; ++i) {
-    registry.Record(timer, 1e-6);
-    registry.Record(hist, 1e-6);
-    ScopedTimerRef scoped(registry, timer);
+    FASTT_TRACE_SPAN("dpos/list_schedule");
   }
   const int64_t after = mem.stats(MemTag::kObs).allocs;
+  const int64_t after_total = mem.total_allocs();
   mem.Disable();
   EXPECT_EQ(after - before, 0);
+  EXPECT_EQ(after_total - before_total, 0);
 
-  // The handles really did land the data.
-  const MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
-  EXPECT_EQ(snap.timers.at("dpos/total").count, 2000);
-  EXPECT_EQ(snap.histograms.at("dpos/latency_s").count, 1000);
+  // The spans really did land the data.
+  EXPECT_EQ(context.metrics().timer_count("dpos/list_schedule"), 1001);
 }
 
-// Handles stay valid across Reset(): the registry's storage is node-stable
-// and Reset zeroes cells instead of erasing them.
+// Reset() zeroes the timer cell in place instead of erasing it, and a span
+// recorded afterwards lands in that zeroed cell.
 TEST(Metrics, HandlesSurviveReset) {
-  MetricsRegistry registry;
-  const MetricsRegistry::TimerHandle timer = registry.TimerRef("t");
-  registry.Record(timer, 1.0);
+  TelemetryContext context;
+  TelemetryScope scope(context);
+  MetricsRegistry& registry = context.metrics();
+  { FASTT_TRACE_SPAN("t"); }
   registry.Reset();
-  registry.Record(timer, 2.0);
+  const MetricsRegistry::Snapshot zeroed = registry.TakeSnapshot();
+  ASSERT_EQ(zeroed.timers.count("t"), 1u);
+  EXPECT_EQ(zeroed.timers.at("t").count, 0);
+  EXPECT_EQ(zeroed.timers.at("t").total_s, 0.0);
+  {
+    FASTT_TRACE_SPAN("t");
+    volatile double sink = 0;
+    for (int i = 0; i < 1000; ++i) sink = sink + i;
+    (void)sink;
+  }
   const MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
   EXPECT_EQ(snap.timers.at("t").count, 1);
-  EXPECT_DOUBLE_EQ(snap.timers.at("t").total_s, 2.0);
+  EXPECT_GT(snap.timers.at("t").total_s, 0.0);
 }
 
 TEST(Table, NumericColumnsRightAlign) {

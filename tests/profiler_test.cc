@@ -18,6 +18,7 @@
 #include "obs/blackbox.h"
 #include "obs/context.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/prof_export.h"
 #include "obs/profiler.h"
 #include "obs/trace_export.h"

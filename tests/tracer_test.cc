@@ -14,6 +14,7 @@
 #include "core/os_dpos.h"
 #include "models/model_zoo.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/trace_export.h"
 #include "obs/tracer.h"
 #include "sim/exec_sim.h"
