@@ -236,6 +236,31 @@ ArenaStats RunArena(const std::string& model, int gpus, int64_t batch,
   return s;
 }
 
+// Tagged-heap allocations of one uncapped arena race per repeat, measured on
+// separate untimed races like MeasureSearchAllocs. A searcher that copies
+// its graph per candidate multiplies this count, so bench-diff fails on it.
+std::vector<double> MeasureArenaAllocs(const std::string& model, int gpus,
+                                       int64_t batch, int jobs, int repeat) {
+  const ModelSpec& spec = FindModel(model);
+  const Cluster cluster = Cluster::SingleServer(gpus);
+  SetSearchJobs(jobs);
+  MemTracker& mem = MemTracker::Global();
+  PortfolioOptions po;
+  po.budget_s = 0.0;
+  std::vector<double> allocs;
+  for (int r = 0; r < repeat; ++r) {
+    mem.Enable();
+    const PortfolioResult res =
+        PortfolioSearch(RegisteredSearchers(), spec.build, spec.name,
+                        batch > 0 ? batch : spec.strong_batch, cluster, po);
+    mem.Disable();
+    (void)res;
+    allocs.push_back(static_cast<double>(mem.total_allocs()));
+  }
+  SetSearchJobs(1);
+  return allocs;
+}
+
 int Run(int argc, char** argv) {
   std::string model = "bert_large";
   int gpus = 8;
@@ -292,6 +317,8 @@ int Run(int argc, char** argv) {
   const SearchAllocStats allocs = MeasureSearchAllocs(in, jobs_eff, repeat);
 
   const ArenaStats arena = RunArena(model, gpus, batch, jobs_eff, repeat);
+  const std::vector<double> arena_allocs =
+      MeasureArenaAllocs(model, gpus, batch, jobs_eff, repeat);
 
   const SearchProfileStats profcov =
       MeasureSearchProfile(in, jobs_eff, repeat);
@@ -324,6 +351,9 @@ int Run(int argc, char** argv) {
   std::printf("%s", arena_table.Render().c_str());
   std::printf("arena winner: %s (%.3fms/iter over %zu searchers)\n",
               arena.winner.c_str(), arena.winner_s * 1e3, arena.names.size());
+  if (!arena_allocs.empty())
+    std::printf("arena heap: %.0f tagged allocs per race\n",
+                arena_allocs.front());
 
   if (!profcov.span_attrib_pct.empty()) {
     std::printf("cpu sampler: %llu samples, %.1f%% span-attributed, %.1f%% "
@@ -391,6 +421,7 @@ int Run(int argc, char** argv) {
         counted("osdpos_allocs", "count", allocs.allocs),
         counted("osdpos_peak_bytes", "bytes", allocs.peak_bytes),
         counted("osdpos_obs_allocs", "count", allocs.obs_allocs),
+        counted("arena_allocs", "count", arena_allocs),
     };
     // Profiler coverage rows: percentages, higher is better (a drop means
     // span attribution or stack capture regressed).

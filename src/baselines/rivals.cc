@@ -24,18 +24,6 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Resolves colocation constraints onto an otherwise-free placement (same
-// rule as searchers.cc: dependents follow their referent in topo order).
-void ApplyColocation(const Graph& g, std::vector<DeviceId>& placement) {
-  for (OpId id : g.TopoOrder()) {
-    const OpId target = g.op(id).colocate_with;
-    if (target != kInvalidOp &&
-        placement[static_cast<size_t>(target)] != kInvalidDevice)
-      placement[static_cast<size_t>(id)] =
-          placement[static_cast<size_t>(target)];
-  }
-}
-
 // Builds the bare (model-parallel) graph and stamps the shared result
 // fields; the construction itself is the caller's job.
 SearchResult BareGraphResult(const ModelBuildFn& build,
@@ -201,7 +189,7 @@ SearchResult EtfSchedule(const ModelBuildFn& build,
       ready.insert(std::lower_bound(ready.begin(), ready.end(), u), u);
   }
 
-  ApplyColocation(g, placement);
+  ApplyColocation(ColocationPairsOf(g), placement);
   result.placement = std::move(placement);
   SimOptions so;
   so.noise_cv = options.noise_cv;
@@ -311,7 +299,7 @@ SearchResult DpPipelinePlacement(const ModelBuildFn& build,
       placement[static_cast<size_t>(topo[i])] = static_cast<DeviceId>(j);
     end = begin;
   }
-  ApplyColocation(g, placement);
+  ApplyColocation(ColocationPairsOf(g), placement);
 
   result.placement = std::move(placement);
   SimOptions so;
@@ -418,7 +406,7 @@ SearchResult CriticalPathPlacement(const ModelBuildFn& build,
       at = next;
     }
   }
-  ApplyColocation(g, placement);
+  ApplyColocation(ColocationPairsOf(g), placement);
 
   result.placement = std::move(placement);
   SimOptions so;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "graph/rewrite.h"
 #include "util/check.h"
@@ -31,29 +32,37 @@ double Evaluate(const Graph& g, const std::vector<DeviceId>& placement,
   return r.oom ? kInf : r.makespan;
 }
 
-// Resolves colocation constraints onto an otherwise-free placement.
-void ApplyColocation(const Graph& g, std::vector<DeviceId>& placement) {
-  for (OpId id : g.TopoOrder()) {
-    const OpId target = g.op(id).colocate_with;
-    if (target != kInvalidOp &&
-        placement[static_cast<size_t>(target)] != kInvalidDevice)
-      placement[static_cast<size_t>(id)] =
-          placement[static_cast<size_t>(target)];
-  }
-}
-
-std::vector<DeviceId> RandomPlacement(const Graph& g, const Cluster& cluster,
-                                      Rng& rng) {
+std::vector<DeviceId> RandomPlacement(const Graph& g,
+                                      const std::vector<OpId>& live,
+                                      const ColocationPairs& colocation,
+                                      const Cluster& cluster, Rng& rng) {
   std::vector<DeviceId> placement(static_cast<size_t>(g.num_slots()),
                                   kInvalidDevice);
-  for (OpId id : g.LiveOps())
+  for (OpId id : live)
     placement[static_cast<size_t>(id)] = static_cast<DeviceId>(
         rng.NextBelow(static_cast<uint64_t>(cluster.num_devices())));
-  ApplyColocation(g, placement);
+  ApplyColocation(colocation, placement);
   return placement;
 }
 
 }  // namespace
+
+ColocationPairs ColocationPairsOf(const Graph& g) {
+  ColocationPairs pairs;
+  for (OpId id : g.TopoOrder()) {
+    const OpId target = g.op(id).colocate_with;
+    if (target != kInvalidOp) pairs.emplace_back(id, target);
+  }
+  return pairs;
+}
+
+void ApplyColocation(const ColocationPairs& pairs,
+                     std::vector<DeviceId>& placement) {
+  for (const auto& [id, target] : pairs)
+    if (placement[static_cast<size_t>(target)] != kInvalidDevice)
+      placement[static_cast<size_t>(id)] =
+          placement[static_cast<size_t>(target)];
+}
 
 SearchResult RandomSearchPlacement(const ModelBuildFn& build,
                                    const std::string& model_name,
@@ -66,6 +75,8 @@ SearchResult RandomSearchPlacement(const ModelBuildFn& build,
   build(result.graph, "", batch);
   Rng rng(options.seed);
   const SearchDeadline deadline(options.wall_budget_s);
+  const auto live = result.graph.LiveOps();
+  const ColocationPairs colocation = ColocationPairsOf(result.graph);
 
   double best = kInf;
   int since_improvement = 0;
@@ -75,7 +86,8 @@ SearchResult RandomSearchPlacement(const ModelBuildFn& build,
       result.stop_reason = "deadline";
       break;
     }
-    auto placement = RandomPlacement(result.graph, cluster, rng);
+    auto placement =
+        RandomPlacement(result.graph, live, colocation, cluster, rng);
     const double score =
         Evaluate(result.graph, placement, cluster, options,
                  &result.evaluations);
@@ -189,6 +201,7 @@ SearchResult LocalSearchPlacement(const ModelBuildFn& build,
   const Graph& g = result.graph;
   Rng rng(options.seed * 31 + 7);
   const auto live = g.LiveOps();
+  const ColocationPairs colocation = ColocationPairsOf(g);
   const SearchDeadline deadline(options.wall_budget_s);
 
   double best = result.iteration_s;
@@ -205,7 +218,7 @@ SearchResult LocalSearchPlacement(const ModelBuildFn& build,
     if (g.op(victim).colocate_with != kInvalidOp) continue;
     candidate[static_cast<size_t>(victim)] = static_cast<DeviceId>(
         rng.NextBelow(static_cast<uint64_t>(cluster.num_devices())));
-    ApplyColocation(g, candidate);
+    ApplyColocation(colocation, candidate);
     const double score =
         Evaluate(g, candidate, cluster, options, &result.evaluations);
     if (score < best) {
@@ -238,6 +251,7 @@ SearchResult CrossEntropyPlacement(const ModelBuildFn& build,
   const SearchDeadline deadline(options.wall_budget_s);
 
   const auto live = g.LiveOps();
+  const ColocationPairs colocation = ColocationPairsOf(g);
   const size_t n_dev = static_cast<size_t>(cluster.num_devices());
   // Per-op categorical distribution over devices, initialized uniform.
   std::vector<std::vector<double>> theta(
@@ -259,7 +273,7 @@ SearchResult CrossEntropyPlacement(const ModelBuildFn& build,
       }
       placement[static_cast<size_t>(id)] = pick;
     }
-    ApplyColocation(g, placement);
+    ApplyColocation(colocation, placement);
     return placement;
   };
 
@@ -333,20 +347,26 @@ SearchResult AnnealingSearch(const ModelBuildFn& build,
                                            cluster.num_devices(),
                                            Scaling::kStrong);
   result.global_batch = dp.global_batch;
-  result.graph = dp.graph;
   Rng rng(options.seed * 131 + 3);
   const SearchDeadline deadline(options.wall_budget_s);
 
   // Current state: graph (splits applied) + placement + the split list that
   // produced the graph. Start from canonical data parallelism — the same
-  // warm start FlexFlow's search uses.
-  Graph current_graph = result.graph;
+  // warm start FlexFlow's search uses. `live` and `colocation` derive from
+  // current_graph and change only when a split is accepted.
   auto current_placement = CanonicalDataParallelPlacement(dp);
+  Graph current_graph = std::move(dp.graph);
   std::vector<SplitDecision> current_splits;
+  auto live = current_graph.LiveOps();
+  ColocationPairs colocation = ColocationPairsOf(current_graph);
   double current =
       Evaluate(current_graph, current_placement, cluster, options,
                &result.evaluations);
-  Graph best_graph = current_graph;
+  // The best state shares current_graph until a split is accepted past it;
+  // only then does the old graph move into best_graph. A graph is copied
+  // only to apply a split move.
+  Graph best_graph;
+  bool best_uses_current_graph = true;
   auto best_placement = current_placement;
   auto best_splits = current_splits;
   double best = current;
@@ -363,26 +383,24 @@ SearchResult AnnealingSearch(const ModelBuildFn& build,
                             std::max(1, options.budget);
     const double temperature = t0 * (1.0 - progress);
 
-    Graph trial_graph = current_graph;
     auto trial_placement = current_placement;
-    auto trial_splits = current_splits;
-    const bool try_split = rng.NextBool(0.15);
-    bool mutated = false;
-    if (try_split) {
+    std::optional<Graph> split_graph;  // engaged iff a split move applies
+    SplitDecision split_decision;
+    if (rng.NextBool(0.15)) {
       // Split a random compute-bound op along a random legal dimension.
-      const auto live = trial_graph.LiveOps();
-      for (int attempt = 0; attempt < 16 && !mutated; ++attempt) {
+      for (int attempt = 0; attempt < 16 && !split_graph; ++attempt) {
         const OpId op = live[rng.NextBelow(live.size())];
-        const auto dims = ParallelizableDims(trial_graph.op(op).type);
-        if (dims.empty() || !IsComputeBound(trial_graph.op(op).type))
-          continue;
+        const Operation& o = current_graph.op(op);
+        const auto dims = ParallelizableDims(o.type);
+        if (dims.empty() || !IsComputeBound(o.type)) continue;
         const SplitDim dim = dims[rng.NextBelow(dims.size())];
         const int n = 2 << rng.NextBelow(2);  // 2 or 4
-        if (!CanSplit(trial_graph, op, dim, n)) continue;
-        trial_splits.push_back({trial_graph.op(op).name, dim, n});
-        const auto split = SplitOperation(trial_graph, op, dim, n);
+        if (!CanSplit(current_graph, op, dim, n)) continue;
+        split_decision = {o.name, dim, n};
+        split_graph.emplace(current_graph);
+        const auto split = SplitOperation(*split_graph, op, dim, n);
         trial_placement.resize(
-            static_cast<size_t>(trial_graph.num_slots()), 0);
+            static_cast<size_t>(split_graph->num_slots()), 0);
         const DeviceId home = trial_placement[static_cast<size_t>(op)];
         for (OpId sub : split.sub_ops)
           trial_placement[static_cast<size_t>(sub)] = static_cast<DeviceId>(
@@ -391,30 +409,36 @@ SearchResult AnnealingSearch(const ModelBuildFn& build,
           trial_placement[static_cast<size_t>(sp)] = home;
         if (split.concat_node != kInvalidOp)
           trial_placement[static_cast<size_t>(split.concat_node)] = home;
-        mutated = true;
       }
     }
-    if (!mutated) {
-      const auto live = trial_graph.LiveOps();
+    if (!split_graph) {
+      // Placement-only move, scored against current_graph in place.
       const OpId victim = live[rng.NextBelow(live.size())];
       trial_placement[static_cast<size_t>(victim)] = static_cast<DeviceId>(
           rng.NextBelow(static_cast<uint64_t>(cluster.num_devices())));
-      ApplyColocation(trial_graph, trial_placement);
+      ApplyColocation(colocation, trial_placement);
     }
 
-    const double score = Evaluate(trial_graph, trial_placement, cluster,
-                                  options, &result.evaluations);
+    const double score =
+        Evaluate(split_graph ? *split_graph : current_graph, trial_placement,
+                 cluster, options, &result.evaluations);
     const double relative = (score - current) / std::max(current, 1e-9);
     if (score < current ||
         (temperature > 0.0 &&
          rng.NextBool(std::exp(-relative / temperature)))) {
       current = score;
-      current_graph = std::move(trial_graph);
       current_placement = std::move(trial_placement);
-      current_splits = std::move(trial_splits);
+      if (split_graph) {
+        if (best_uses_current_graph) best_graph = std::move(current_graph);
+        best_uses_current_graph = false;
+        current_graph = std::move(*split_graph);
+        current_splits.push_back(std::move(split_decision));
+        live = current_graph.LiveOps();
+        colocation = ColocationPairsOf(current_graph);
+      }
       if (current < best) {
         best = current;
-        best_graph = current_graph;
+        best_uses_current_graph = true;
         best_placement = current_placement;
         best_splits = current_splits;
         since_improvement = 0;
@@ -426,7 +450,8 @@ SearchResult AnnealingSearch(const ModelBuildFn& build,
       break;
     }
   }
-  result.graph = std::move(best_graph);
+  result.graph =
+      std::move(best_uses_current_graph ? current_graph : best_graph);
   result.placement = std::move(best_placement);
   result.splits = std::move(best_splits);
   result.iteration_s = best;

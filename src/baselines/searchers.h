@@ -24,6 +24,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/data_parallel.h"
 #include "core/portfolio.h"
@@ -35,6 +37,17 @@ namespace fastt {
 // SearchResult / SearchOptions / SearchDeadline moved to core/portfolio.h so
 // the portfolio racer in src/core can consume searcher results without a
 // layering inversion; this header re-exports them for existing includers.
+
+// Colocation constraints of `g` as (dependent, referent) pairs in the
+// dependent's topological order. Compute once per graph and apply to any
+// number of candidate placements.
+using ColocationPairs = std::vector<std::pair<OpId, OpId>>;
+ColocationPairs ColocationPairsOf(const Graph& g);
+
+// Resolves colocation constraints onto an otherwise-free placement: each
+// dependent follows its referent once the referent has a device.
+void ApplyColocation(const ColocationPairs& pairs,
+                     std::vector<DeviceId>& placement);
 
 // REINFORCE-like: random model-parallel placements of the bare model graph.
 SearchResult RandomSearchPlacement(const ModelBuildFn& build,

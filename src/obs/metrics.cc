@@ -169,21 +169,13 @@ MetricsRegistry& MetricsRegistry::Global() {
 
 void MetricsRegistry::AddCounter(std::string_view name, int64_t delta) {
   MutexLock lock(mu_);
-  Cell(counters_, name).fetch_add(delta, std::memory_order_relaxed);
+  Cell(counters_, name) += delta;
 }
 
 int64_t MetricsRegistry::counter(std::string_view name) const {
   MutexLock lock(mu_);
   const auto it = counters_.find(name);
-  return it == counters_.end() ? 0
-                               : it->second.load(std::memory_order_relaxed);
-}
-
-std::atomic<int64_t>& MetricsRegistry::CounterRef(std::string_view name) {
-  MutexLock lock(mu_);
-  // Node-stable: the returned atomic lives as long as the registry. Only
-  // the map *structure* needs mu_; bumping the atomic afterwards doesn't.
-  return Cell(counters_, name);
+  return it == counters_.end() ? 0 : it->second;
 }
 
 void MetricsRegistry::SetGauge(std::string_view name, double value) {
@@ -235,11 +227,9 @@ HistogramSnapshot MetricsRegistry::histogram(std::string_view name) const {
 
 void MetricsRegistry::Reset() {
   MutexLock lock(mu_);
-  // Zero in place — never erase. A CounterRef handed out earlier must stay
-  // valid (the node-stable storage contract); clearing the maps would leave
-  // it dangling.
-  for (auto& [name, value] : counters_)
-    value.store(0, std::memory_order_relaxed);
+  // Zero in place — never erase: names survive, so recording after a reset
+  // allocates nothing.
+  for (auto& [name, value] : counters_) value = 0;
   for (auto& [name, value] : gauges_) value = 0.0;
   for (auto& [name, t] : timers_) t = Timer{};
   for (auto& [name, h] : histograms_) h = HistogramSnapshot{};
@@ -248,8 +238,7 @@ void MetricsRegistry::Reset() {
 MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   MutexLock lock(mu_);
   Snapshot snap;
-  for (const auto& [name, value] : counters_)
-    snap.counters[name] = value.load(std::memory_order_relaxed);
+  for (const auto& [name, value] : counters_) snap.counters[name] = value;
   for (const auto& [name, value] : gauges_) snap.gauges[name] = value;
   for (const auto& [name, t] : timers_)
     snap.timers[name] = {t.count, t.total_s};
@@ -262,8 +251,7 @@ std::string MetricsRegistry::ToJson() const {
   JsonWriter w;
   w.BeginObject();
   w.Key("counters").BeginObject();
-  for (const auto& [name, value] : counters_)
-    w.Key(name).Int(value.load(std::memory_order_relaxed));
+  for (const auto& [name, value] : counters_) w.Key(name).Int(value);
   w.EndObject();
   w.Key("gauges").BeginObject();
   for (const auto& [name, value] : gauges_) w.Key(name).Number(value);

@@ -7,9 +7,8 @@
 // call site. All operations are thread-safe (searchers and parallel probes
 // bump counters concurrently). Names are looked up by std::string_view and
 // inserted only when new, so recording under a name that already exists
-// allocates nothing; the maps use node-stable storage, and Reset() zeroes
-// values in place rather than erasing nodes, so a CounterRef held across a
-// Reset stays valid.
+// allocates nothing; Reset() zeroes values in place rather than erasing
+// nodes, so recording after a Reset allocates nothing either.
 //
 // Timers answer "how much, in total"; histograms answer "how is it
 // distributed" (p50/p90/p99) — use a histogram where a mean hides the story,
@@ -25,7 +24,6 @@
 //   WriteMetricsJson("out.json", MetricsRegistry::Global());
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -104,10 +102,6 @@ class MetricsRegistry {
   // ---- Counters (monotonic int64) ----------------------------------------
   void AddCounter(std::string_view name, int64_t delta = 1);
   int64_t counter(std::string_view name) const;  // 0 if absent
-  // Node-stable handle for hot instrumented code: bump it with relaxed
-  // fetch_add and skip the name lookup. Valid for the registry's lifetime,
-  // across Reset() included (Reset zeroes it in place).
-  std::atomic<int64_t>& CounterRef(std::string_view name);
 
   // ---- Gauges (last-written double) --------------------------------------
   void SetGauge(std::string_view name, double value);
@@ -125,9 +119,8 @@ class MetricsRegistry {
   void SetHistogram(std::string_view name, const HistogramSnapshot& snap);
   HistogramSnapshot histogram(std::string_view name) const;  // empty if absent
 
-  // Zeroes every metric IN PLACE: names and node addresses survive, values
-  // reset. Long-lived code holding a CounterRef keeps a valid (zeroed)
-  // handle — erasing nodes here would dangle it.
+  // Zeroes every metric IN PLACE: names survive, values reset, so the next
+  // record under a known name allocates nothing.
   void Reset();
 
   // Point-in-time copy of everything, for exporters (OpenMetrics, reports)
@@ -170,10 +163,7 @@ class MetricsRegistry {
   }
 
   mutable Mutex mu_;
-  // Counter values are atomic so a CounterRef can be bumped without mu_;
-  // the map structure itself is only modified under mu_.
-  TaggedMap<std::atomic<int64_t>> counters_ FASTT_GUARDED_BY(mu_) =
-      MakeMap<std::atomic<int64_t>>();
+  TaggedMap<int64_t> counters_ FASTT_GUARDED_BY(mu_) = MakeMap<int64_t>();
   TaggedMap<double> gauges_ FASTT_GUARDED_BY(mu_) = MakeMap<double>();
   TaggedMap<Timer> timers_ FASTT_GUARDED_BY(mu_) = MakeMap<Timer>();
   TaggedMap<HistogramSnapshot> histograms_ FASTT_GUARDED_BY(mu_) =

@@ -1,9 +1,8 @@
 #include "sim/exec_sim.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
 #include <queue>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -49,12 +48,56 @@ struct ReadyEntry {
   }
 };
 
+using ReadyQueue = std::priority_queue<ReadyEntry, TaggedVector<ReadyEntry>,
+                                       std::greater<ReadyEntry>>;
+
+// Per-op state of one Simulate call.
+struct OpState {
+  // Remaining tensor arrivals (each live in-edge delivers one).
+  int32_t pending = 0;
+  // Remaining holds on the op's producer-side output buffer. Same-device
+  // consumers release their hold when they finish (they read the buffer in
+  // place); cross-device consumers release it once the transfer lands.
+  int32_t out_refs = 0;
+  // Output buffer size, computed once per call.
+  int64_t out_bytes = 0;
+  // Bytes staged on the op's device by cross-device transfers; freed when
+  // the op finishes.
+  int64_t staged_bytes = 0;
+};
+
+// Per-device state of one Simulate call.
+struct DeviceState {
+  ReadyQueue ready;
+  bool busy = false;
+  // Copy-engine model: a small number of DMA engines per device and
+  // direction (V100s expose a few; TF stripes copies across them), so
+  // concurrent transfers sharing an endpoint serialize once the engines are
+  // saturated. Each entry is the time one engine frees up.
+  std::array<double, SimOptions::kCopyEnginesPerDirection> egress_free{};
+  std::array<double, SimOptions::kCopyEnginesPerDirection> ingress_free{};
+  // TF rendezvous semantics: one physical send per (tensor, destination
+  // device). sent_by names the op whose tensor last went to this device and
+  // sent_arrival when it lands; stamping with the sender (each op finishes
+  // once) makes a per-finish reset unnecessary.
+  OpId sent_by = kInvalidOp;
+  double sent_arrival = 0.0;
+};
+
+// A per-call flat array charged to sim/events, like the event queue.
+template <typename T>
+TaggedVector<T> SimArray(size_t n, const T& value) {
+  return TaggedVector<T>(n, value, TaggedAlloc<T>(MemTag::kSimEvents));
+}
+
 class MemoryTracker {
  public:
   MemoryTracker(const Cluster& cluster, bool enabled, bool record_timeline)
       : enabled_(enabled),
-        usage_(static_cast<size_t>(cluster.num_devices()), 0),
-        peak_(static_cast<size_t>(cluster.num_devices()), 0) {
+        usage_(SimArray<int64_t>(static_cast<size_t>(cluster.num_devices()),
+                                 0)),
+        peak_(SimArray<int64_t>(static_cast<size_t>(cluster.num_devices()),
+                                0)) {
     if (enabled_ && record_timeline)
       timeline_.resize(static_cast<size_t>(cluster.num_devices()));
   }
@@ -71,7 +114,7 @@ class MemoryTracker {
     usage_[static_cast<size_t>(d)] -= bytes;
     Sample(static_cast<size_t>(d), now);
   }
-  const std::vector<int64_t>& peak() const { return peak_; }
+  const TaggedVector<int64_t>& peak() const { return peak_; }
   std::vector<std::vector<MemorySample>> TakeTimeline() {
     return std::move(timeline_);
   }
@@ -88,8 +131,8 @@ class MemoryTracker {
   }
 
   bool enabled_;
-  std::vector<int64_t> usage_;
-  std::vector<int64_t> peak_;
+  TaggedVector<int64_t> usage_;
+  TaggedVector<int64_t> peak_;
   std::vector<std::vector<MemorySample>> timeline_;
 };
 
@@ -127,79 +170,57 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
   }
 
   SimResult result;
-  result.op_records.assign(static_cast<size_t>(g.num_slots()), OpRecord{});
-  result.device_busy_s.assign(static_cast<size_t>(cluster.num_devices()), 0.0);
+  const size_t slots = static_cast<size_t>(g.num_slots());
+  const size_t n_dev = static_cast<size_t>(cluster.num_devices());
+  result.op_records.assign(slots, OpRecord{});
+  result.device_busy_s.assign(n_dev, 0.0);
 
+  // Event churn and per-call state are the simulator's dominant allocation
+  // source; charge the event queue, the per-device ready heaps and the flat
+  // per-op / per-device / per-edge arrays to sim/events so memstat and the
+  // trace counters attribute them.
+  MemTagScope mem_scope(MemTag::kSimEvents);
   MemoryTracker memory(cluster, options.track_memory,
                        options.record_memory_timeline);
-  // Parameters are resident for the whole iteration.
-  for (OpId id : live)
+
+  auto ops = SimArray(slots, OpState{});
+  for (OpId id : live) {
+    OpState& s = ops[static_cast<size_t>(id)];
+    // Parameters are resident for the whole iteration.
     memory.Alloc(placement[static_cast<size_t>(id)],
                  g.op(id).resident_bytes(), 0.0);
-
-  // Remaining tensor arrivals per op (each live in-edge delivers one).
-  std::vector<int32_t> pending(static_cast<size_t>(g.num_slots()), 0);
-  // Remaining holds on each op's producer-side output buffer. Same-device
-  // consumers release their hold when they finish (they read the buffer in
-  // place); cross-device consumers release it once the transfer lands.
-  std::vector<int32_t> out_refs(static_cast<size_t>(g.num_slots()), 0);
-  // Bytes staged on a consumer's device by cross-device transfers; freed
-  // when the consumer finishes.
-  std::vector<int64_t> staged_bytes(static_cast<size_t>(g.num_slots()), 0);
-
-  for (OpId id : live) {
+    s.out_bytes = g.op(id).output_bytes();
     for (EdgeId e : g.in_edges(id)) {
       const Edge& edge = g.edge(e);
-      if (!edge.dead && !g.op(edge.src).dead)
-        ++pending[static_cast<size_t>(id)];
+      if (!edge.dead && !g.op(edge.src).dead) ++s.pending;
     }
     for (EdgeId e : g.out_edges(id)) {
       const Edge& edge = g.edge(e);
-      if (!edge.dead && !g.op(edge.dst).dead)
-        ++out_refs[static_cast<size_t>(id)];
+      if (!edge.dead && !g.op(edge.dst).dead) ++s.out_refs;
     }
   }
 
-  // Event churn is the simulator's dominant allocation source; charge the
-  // queues (and per-device ready heaps) to sim/events so memstat and the
-  // trace counters attribute them.
-  MemTagScope mem_scope(MemTag::kSimEvents);
   std::priority_queue<Event, TaggedVector<Event>, std::greater<Event>> events(
-      std::greater<Event>(), TaggedVector<Event>(TaggedAlloc<Event>(MemTag::kSimEvents)));
-
-  using ReadyQueue =
-      std::priority_queue<ReadyEntry, TaggedVector<ReadyEntry>,
-                          std::greater<ReadyEntry>>;
-  std::vector<ReadyQueue> ready(
-      static_cast<size_t>(cluster.num_devices()),
-      ReadyQueue(std::greater<ReadyEntry>(),
+      std::greater<Event>(),
+      TaggedVector<Event>(TaggedAlloc<Event>(MemTag::kSimEvents)));
+  auto devices = SimArray(
+      n_dev, DeviceState{ReadyQueue(
+                 std::greater<ReadyEntry>(),
                  TaggedVector<ReadyEntry>(
-                     TaggedAlloc<ReadyEntry>(MemTag::kSimEvents))));
-  std::vector<bool> busy(static_cast<size_t>(cluster.num_devices()), false);
+                     TaggedAlloc<ReadyEntry>(MemTag::kSimEvents)))});
   uint64_t ready_counter = 0;
-
-  // Copy-engine model: a small number of DMA engines per device and
-  // direction (V100s expose a few; TF stripes copies across them), so
-  // concurrent transfers sharing an endpoint serialize once the engines are
-  // saturated.
-  const size_t engines = SimOptions::kCopyEnginesPerDirection;
-  std::vector<std::vector<double>> egress_free(
-      static_cast<size_t>(cluster.num_devices()),
-      std::vector<double>(engines, 0.0));
-  std::vector<std::vector<double>> ingress_free(
-      static_cast<size_t>(cluster.num_devices()),
-      std::vector<double>(engines, 0.0));
-  auto earliest = [](std::vector<double>& v) {
-    return std::min_element(v.begin(), v.end());
+  // Edges whose arrival carries a physical copy (vs. aliasing a dedup'd
+  // one), indexed by edge slot.
+  auto carrying =
+      SimArray<uint8_t>(static_cast<size_t>(g.num_edge_slots()), 0);
+  auto earliest = [](auto& engines) {
+    return std::min_element(engines.begin(), engines.end());
   };
-  // Edges whose arrival carries a physical copy (vs. aliasing a dedup'd one).
-  std::unordered_set<EdgeId> carrying_edges;
 
   auto release_output_hold = [&](OpId producer, double now) {
-    if (--out_refs[static_cast<size_t>(producer)] == 0) {
-      memory.Free(placement[static_cast<size_t>(producer)],
-                  g.op(producer).output_bytes(), now);
-    }
+    OpState& s = ops[static_cast<size_t>(producer)];
+    if (--s.out_refs == 0)
+      memory.Free(placement[static_cast<size_t>(producer)], s.out_bytes, now);
   };
 
   auto push_ready = [&](OpId op) {
@@ -222,15 +243,15 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
         break;
     }
     entry.op = op;
-    ready[static_cast<size_t>(d)].push(entry);
+    devices[static_cast<size_t>(d)].ready.push(entry);
   };
 
   auto try_dispatch = [&](DeviceId d, double now) {
-    auto& q = ready[static_cast<size_t>(d)];
-    if (busy[static_cast<size_t>(d)] || q.empty()) return;
-    const OpId op = q.top().op;
-    q.pop();
-    busy[static_cast<size_t>(d)] = true;
+    DeviceState& dev = devices[static_cast<size_t>(d)];
+    if (dev.busy || dev.ready.empty()) return;
+    const OpId op = dev.ready.top().op;
+    dev.ready.pop();
+    dev.busy = true;
     const Operation& o = g.op(op);
     const double dur = GroundTruthDuration(o, cluster.device(d)) *
                        SimNoiseFactor(options.seed, op, options.noise_cv);
@@ -245,7 +266,7 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
 
   // Seed: ops with no inputs are ready at t = 0.
   for (OpId id : live)
-    if (pending[static_cast<size_t>(id)] == 0) push_ready(id);
+    if (ops[static_cast<size_t>(id)].pending == 0) push_ready(id);
   for (int32_t d = 0; d < cluster.num_devices(); ++d) try_dispatch(d, 0.0);
 
   size_t finished = 0;
@@ -258,19 +279,19 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
       ++finished;
       const OpId op = ev.op;
       const Operation& o = g.op(op);
+      OpState& s = ops[static_cast<size_t>(op)];
       const DeviceId d = placement[static_cast<size_t>(op)];
       const auto& rec = result.op_records[static_cast<size_t>(op)];
       result.device_busy_s[static_cast<size_t>(d)] += rec.duration();
       if (IsMathOp(o.type)) result.total_compute_s += rec.duration();
       memory.Free(d, o.temp_bytes, now);
-      memory.Free(d, staged_bytes[static_cast<size_t>(op)], now);
-      staged_bytes[static_cast<size_t>(op)] = 0;
+      memory.Free(d, s.staged_bytes, now);
+      s.staged_bytes = 0;
       result.makespan = std::max(result.makespan, now);
 
       // Output buffer materializes now; terminal ops drop it immediately.
-      memory.Alloc(d, o.output_bytes(), now);
-      if (out_refs[static_cast<size_t>(op)] == 0)
-        memory.Free(d, o.output_bytes(), now);
+      memory.Alloc(d, s.out_bytes, now);
+      if (s.out_refs == 0) memory.Free(d, s.out_bytes, now);
 
       // This op held its same-device inputs in place while running.
       for (EdgeId e : g.in_edges(op)) {
@@ -280,37 +301,37 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
           release_output_hold(edge.src, now);
       }
 
-      // TF rendezvous semantics: one physical send per (tensor, destination
-      // device) — additional consumers on that device alias the landed copy.
-      std::map<DeviceId, double> sent_arrival;
+      // One physical send per destination device; additional consumers on
+      // that device alias the landed copy.
       for (EdgeId e : g.out_edges(op)) {
         const Edge& edge = g.edge(e);
         if (edge.dead || g.op(edge.dst).dead) continue;
         const DeviceId dd = placement[static_cast<size_t>(edge.dst)];
+        DeviceState& dst = devices[static_cast<size_t>(dd)];
         if (dd == d) {
           events.push(Event{now, Event::kArrival, edge.dst, e});
-        } else if (auto it = sent_arrival.find(dd);
-                   it != sent_arrival.end()) {
-          events.push(Event{it->second, Event::kArrival, edge.dst, e});
+        } else if (dst.sent_by == op) {
+          events.push(Event{dst.sent_arrival, Event::kArrival, edge.dst, e});
         } else {
           const Link link = cluster.LinkBetween(d, dd);
-          auto eg = earliest(egress_free[static_cast<size_t>(d)]);
-          auto in_ = earliest(ingress_free[static_cast<size_t>(dd)]);
+          auto eg = earliest(devices[static_cast<size_t>(d)].egress_free);
+          auto in_ = earliest(dst.ingress_free);
           const double start = std::max({now, *eg, *in_});
           const double occupancy =
               static_cast<double>(edge.bytes) / link.bandwidth;
           const double arrival = start + link.latency + occupancy;
           *eg = start + occupancy;
           *in_ = start + occupancy;
-          sent_arrival[dd] = arrival;
-          carrying_edges.insert(e);
+          dst.sent_by = op;
+          dst.sent_arrival = arrival;
+          carrying[static_cast<size_t>(e)] = 1;
           result.transfers.push_back(TransferRecord{
               op, edge.dst, d, dd, edge.bytes, start, arrival});
           result.total_memcpy_s += arrival - start;
           events.push(Event{arrival, Event::kArrival, edge.dst, e});
         }
       }
-      busy[static_cast<size_t>(d)] = false;
+      devices[static_cast<size_t>(d)].busy = false;
       try_dispatch(d, now);
     } else {  // kArrival
       const Edge& edge = g.edge(ev.edge);
@@ -321,13 +342,13 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
         // Only the physical (carrying) transfer stages a copy on the
         // consumer's device; aliased arrivals reuse it. The producer-side
         // buffer hold is released per consumer as arrivals land.
-        if (carrying_edges.count(ev.edge) > 0) {
+        if (carrying[static_cast<size_t>(ev.edge)]) {
           memory.Alloc(cd, edge.bytes, now);
-          staged_bytes[static_cast<size_t>(consumer)] += edge.bytes;
+          ops[static_cast<size_t>(consumer)].staged_bytes += edge.bytes;
         }
         release_output_hold(edge.src, now);
       }
-      auto& left = pending[static_cast<size_t>(consumer)];
+      auto& left = ops[static_cast<size_t>(consumer)].pending;
       FASTT_CHECK(left > 0);
       if (--left == 0) {
         push_ready(consumer);
@@ -339,7 +360,7 @@ SimResult Simulate(const Graph& g, const std::vector<DeviceId>& placement,
   FASTT_CHECK_MSG(finished == live.size(),
                   "deadlock: not all ops executed (cycle or missing input)");
 
-  result.peak_memory = memory.peak();
+  result.peak_memory.assign(memory.peak().begin(), memory.peak().end());
   for (int32_t d = 0; d < cluster.num_devices(); ++d) {
     if (result.peak_memory[static_cast<size_t>(d)] >
         cluster.device(d).usable_bytes()) {

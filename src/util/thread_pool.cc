@@ -65,10 +65,7 @@ void ThreadPool::WorkerLoop(int worker_index) {
     tasks_run_.fetch_add(1, std::memory_order_relaxed);
     worker_tasks_[static_cast<size_t>(worker_index)].fetch_add(
         1, std::memory_order_relaxed);
-    {
-      TraceScope span("pool/task");
-      task.fn();
-    }
+    task.fn();
   }
 }
 
@@ -129,9 +126,15 @@ void ThreadPool::Run(size_t n, const std::function<void(size_t)>& fn) {
     for (;;) {
       const size_t c = b->next_chunk.fetch_add(1);
       if (c >= b->chunks) break;
-      const size_t begin = c * b->n / b->chunks;
-      const size_t end = (c + 1) * b->n / b->chunks;
-      for (size_t i = begin; i < end; ++i) (*b->fn)(i);
+      {
+        // Opened under the submitter's bindings, so the span lands in its
+        // tracer; closed before `done` counts the chunk, so none outlives
+        // Run. A wake-up that claims no chunk writes nothing.
+        TraceScope task_span("pool/task");
+        const size_t begin = c * b->n / b->chunks;
+        const size_t end = (c + 1) * b->n / b->chunks;
+        for (size_t i = begin; i < end; ++i) (*b->fn)(i);
+      }
       if (b->done.fetch_add(1) + 1 == b->chunks) {
         MutexLock lock(b->mu);
         b->cv.NotifyAll();

@@ -275,5 +275,95 @@ TEST(ArenaStopReason, DeadlineStopsIterativeSearchers) {
   EXPECT_FALSE(r.placement.empty());
 }
 
+// --- Golden digests at 8 GPUs ---------------------------------------------
+// The sweeps above accept any verified strategy at 2 GPUs; these digests pin
+// every searcher's result bit-for-bit on the paper's 8-GPU server. Regenerate
+// them only for an intended change to a searcher or to the simulator.
+
+// FNV-1a over the result's placement, execution order, splits, objective
+// bits, evaluation count and stop reason.
+uint64_t DigestOf(const SearchResult& r) {
+  uint64_t h = 14695981039346656037ULL;
+  auto add_bytes = [&h](const void* data, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  auto add = [&add_bytes](auto value) { add_bytes(&value, sizeof(value)); };
+  for (DeviceId d : r.placement) add(d);
+  for (OpId id : r.execution_order) add(id);
+  for (const SplitDecision& s : r.splits) {
+    add_bytes(s.op_name.data(), s.op_name.size());
+    add(s.dim);
+    add(s.num_splits);
+  }
+  add(r.iteration_s);
+  add(r.evaluations);
+  add_bytes(r.stop_reason.data(), r.stop_reason.size());
+  return h;
+}
+
+struct ArenaGoldenCase {
+  const char* searcher;
+  const char* model;
+  int gpus;
+  uint64_t digest;
+};
+
+void PrintTo(const ArenaGoldenCase& c, std::ostream* os) { *os << c.searcher; }
+
+class ArenaGolden : public ::testing::TestWithParam<ArenaGoldenCase> {};
+
+TEST_P(ArenaGolden, SearcherMatchesRecordedDigest) {
+  const ArenaGoldenCase& c = GetParam();
+  const ModelSpec& spec = FindModel(c.model);
+  SearchOptions options;
+  options.budget = 60;  // no wall budget: the race is fully deterministic
+  const SearchResult r = SearcherNamed(c.searcher).fn(
+      spec.build, spec.name, spec.strong_batch, Cluster::SingleServer(c.gpus),
+      options);
+  const uint64_t digest = DigestOf(r);
+  EXPECT_EQ(digest, c.digest) << c.searcher << " on " << c.model << std::hex
+                              << " digest 0x" << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperSizes, ArenaGolden,
+    ::testing::Values(
+        ArenaGoldenCase{"fastt", "inception_v3", 8, 0x092e4ed11b26c2ffULL},
+        ArenaGoldenCase{"random", "inception_v3", 8, 0xcd010fc3b673ee28ULL},
+        ArenaGoldenCase{"greedy-rank", "inception_v3", 8,
+                        0xefb4e3276d7c13f4ULL},
+        ArenaGoldenCase{"local-search", "inception_v3", 8,
+                        0xe46dc09063a2ef23ULL},
+        ArenaGoldenCase{"cross-entropy", "inception_v3", 8,
+                        0xe4cdb9ec9495204cULL},
+        ArenaGoldenCase{"annealing", "inception_v3", 8, 0x7921c81521be71d4ULL},
+        ArenaGoldenCase{"m-etf", "inception_v3", 8, 0xc7e62fbcb91fbfa2ULL},
+        ArenaGoldenCase{"m-sct", "inception_v3", 8, 0xec1169a17f6ccf9dULL},
+        ArenaGoldenCase{"dp-pipeline", "inception_v3", 8,
+                        0xdec13b418442881cULL},
+        ArenaGoldenCase{"critical-path", "inception_v3", 8,
+                        0x25509f3fe4bd4d5aULL}),
+    [](const ::testing::TestParamInfo<ArenaGoldenCase>& info) {
+      std::string name = info.param.searcher;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// Annealing never improves on the data-parallel start at 8 GPUs, so the
+// digests above cannot see its trajectory. On these 2-GPU cases its best
+// strategy carries an accepted split, so every move along the way counts.
+INSTANTIATE_TEST_SUITE_P(
+    SplitMoves, ArenaGolden,
+    ::testing::Values(
+        ArenaGoldenCase{"annealing", "vgg19", 2, 0xdb3410f71e40197fULL},
+        ArenaGoldenCase{"annealing", "transformer", 2, 0x15208e48f0b42c86ULL}),
+    [](const ::testing::TestParamInfo<ArenaGoldenCase>& info) {
+      return std::string(info.param.model);
+    });
+
 }  // namespace
 }  // namespace fastt

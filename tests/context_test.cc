@@ -13,6 +13,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <sys/wait.h>
@@ -131,6 +132,28 @@ TEST(TelemetryContextTest, ContextTracerIsIsolatedFromGlobal) {
   // The process tracer saw nothing (it was never enabled; draining it
   // would also steal other tests' state, so just check the fast flag).
   EXPECT_FALSE(Tracer::Global().enabled());
+}
+
+TEST(TelemetryContextTest, PoolTaskSpansLandInTheSubmittersTracer) {
+  JobsGuard guard;
+  SetSearchJobs(3);
+  TelemetryContext context;
+  context.tracer().Enable();
+  {
+    TelemetryScope scope(context);
+    ParallelFor(64, [](size_t) {});
+  }
+  context.tracer().Disable();
+  int runs = 0;
+  int tasks = 0;
+  for (const auto& span : context.tracer().Drain().spans) {
+    if (std::string_view(span.name) == "pool/run") ++runs;
+    if (std::string_view(span.name) == "pool/task") ++tasks;
+  }
+  EXPECT_EQ(runs, 1);
+  // One span per claimed chunk: 64 indices at jobs 3 make 3 chunks, whether
+  // the caller or a worker runs them.
+  EXPECT_EQ(tasks, 3);
 }
 
 // The per-context outcome of one instrumented OS-DPOS search: counters,

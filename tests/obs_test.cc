@@ -291,13 +291,10 @@ TEST(Metrics, PublishSearchPoolMetricsExportsGauges) {
   EXPECT_GE(gauges->Find("pool/batches")->NumberOr(0.0), 8.0);
 }
 
-TEST(Metrics, ResetZeroesInPlaceAndCounterRefSurvives) {
+TEST(Metrics, ResetZeroesInPlaceAndKeepsNames) {
   MetricsRegistry r;
-  // The node-stable storage contract: a handle taken before Reset() must
-  // stay valid (and zeroed) after it.
-  std::atomic<int64_t>& hot = r.CounterRef("hot/path");
-  hot.fetch_add(41, std::memory_order_relaxed);
-  r.AddCounter("hot/path");  // name lookup and handle hit the same node
+  r.AddCounter("hot/path", 41);
+  r.AddCounter("hot/path");
   EXPECT_EQ(r.counter("hot/path"), 42);
   r.SetGauge("g", 1.0);
   r.RecordHistogram("h", 2.0);
@@ -305,10 +302,13 @@ TEST(Metrics, ResetZeroesInPlaceAndCounterRefSurvives) {
   EXPECT_EQ(r.counter("hot/path"), 0);
   EXPECT_DOUBLE_EQ(r.gauge("g"), 0.0);
   EXPECT_EQ(r.histogram("h").count, 0);
-  // The pre-Reset handle still addresses the live node.
-  hot.fetch_add(7, std::memory_order_relaxed);
+  // Zeroed in place, not erased: the name is still exported, at zero.
+  const MetricsRegistry::Snapshot snap = r.TakeSnapshot();
+  ASSERT_EQ(snap.counters.count("hot/path"), 1u);
+  EXPECT_EQ(snap.counters.at("hot/path"), 0);
+  // Counting resumes in the same cell.
+  r.AddCounter("hot/path", 7);
   EXPECT_EQ(r.counter("hot/path"), 7);
-  EXPECT_EQ(&r.CounterRef("hot/path"), &hot);
 }
 
 // ---- Histograms -----------------------------------------------------------

@@ -347,6 +347,10 @@ struct ModelGoldenCase {
   int servers;
   int gpus_per_server;
   uint64_t digest;
+  // 0: the canonical data-parallel placement. Otherwise the seed of a
+  // uniformly random placement, whose many cross-device consumers of one
+  // tensor exercise the one-send-per-destination alias path at scale.
+  uint64_t placement_seed = 0;
 };
 
 void PrintTo(const ModelGoldenCase& c, std::ostream* os) { *os << c.model; }
@@ -361,11 +365,17 @@ TEST_P(SimModelGolden, DataParallelMatchesRecordedDigest) {
                      : Cluster::MultiServer(c.servers, c.gpus_per_server);
   const auto dp = BuildDataParallel(spec.build, spec.name, spec.strong_batch,
                                     cluster.num_devices(), Scaling::kStrong);
+  std::vector<DeviceId> placement = CanonicalDataParallelPlacement(dp);
+  if (c.placement_seed != 0) {
+    Rng rng(c.placement_seed);
+    for (OpId id : dp.graph.LiveOps())
+      placement[static_cast<size_t>(id)] = static_cast<DeviceId>(
+          rng.NextBelow(static_cast<uint64_t>(cluster.num_devices())));
+  }
   SimOptions options;
   options.track_memory = true;
-  const uint64_t digest = DigestOf(
-      dp.graph,
-      Simulate(dp.graph, CanonicalDataParallelPlacement(dp), cluster, options));
+  const uint64_t digest =
+      DigestOf(dp.graph, Simulate(dp.graph, placement, cluster, options));
   EXPECT_EQ(digest, c.digest) << c.model << std::hex << " digest 0x" << digest;
 }
 
@@ -373,9 +383,13 @@ INSTANTIATE_TEST_SUITE_P(
     PaperSizes, SimModelGolden,
     ::testing::Values(
         ModelGoldenCase{"inception_v3", 1, 8, 0x96ebc45c0507d9c0ULL},
-        ModelGoldenCase{"rnnlm", 2, 8, 0xe3df65e8027801d8ULL}),
+        ModelGoldenCase{"rnnlm", 2, 8, 0xe3df65e8027801d8ULL},
+        ModelGoldenCase{"inception_v3", 1, 8, 0x52fb892058cae569ULL, 7}),
     [](const ::testing::TestParamInfo<ModelGoldenCase>& info) {
-      return std::string(info.param.model);
+      std::string name = info.param.model;
+      if (info.param.placement_seed != 0)
+        name += "_random" + std::to_string(info.param.placement_seed);
+      return name;
     });
 
 }  // namespace
