@@ -22,13 +22,11 @@ namespace fastt {
 class EventLog;
 class MemTracker;
 class MetricsRegistry;
-class TelemetryContext;
 class Tracer;
 
 // The full set of thread-local bindings. All-null means "no scope
 // installed": callers fall back to the process-global facilities.
 struct AmbientTelemetry {
-  TelemetryContext* context = nullptr;
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
   EventLog* events = nullptr;

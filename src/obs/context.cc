@@ -29,11 +29,6 @@ TelemetryContext& TelemetryContext::Process() {
   return *process;
 }
 
-TelemetryContext& CurrentTelemetry() {
-  TelemetryContext* ambient = CurrentAmbientTelemetry().context;
-  return ambient != nullptr ? *ambient : TelemetryContext::Process();
-}
-
 MetricsRegistry& CurrentMetrics() {
   MetricsRegistry* ambient = CurrentAmbientTelemetry().metrics;
   return ambient != nullptr ? *ambient : MetricsRegistry::Global();
@@ -46,7 +41,7 @@ EventLog& CurrentEventLog() {
 
 TelemetryScope::TelemetryScope(TelemetryContext& context)
     : saved_(ExchangeAmbientTelemetry(AmbientTelemetry{
-          &context, &context.metrics(), &context.tracer(), &context.events(),
+          &context.metrics(), &context.tracer(), &context.events(),
           &context.memtrack()})) {}
 
 TelemetryScope::~TelemetryScope() { ExchangeAmbientTelemetry(saved_); }

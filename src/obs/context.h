@@ -51,8 +51,6 @@ class TelemetryContext {
   EventLog& events() const { return *events_; }
   MemTracker& memtrack() const { return *memtrack_; }
 
-  bool is_process() const { return owned_metrics_ == nullptr; }
-
  private:
   struct ProcessTag {};
   explicit TelemetryContext(ProcessTag);
@@ -65,10 +63,6 @@ class TelemetryContext {
   EventLog* events_ = nullptr;
   MemTracker* memtrack_ = nullptr;
 };
-
-// The calling thread's active context: the innermost installed
-// TelemetryScope's context, else TelemetryContext::Process().
-TelemetryContext& CurrentTelemetry();
 
 // The event log ambient writers append to. The process context's log is a
 // real (initially empty) EventLog, so logging works outside any scope too.

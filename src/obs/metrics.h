@@ -123,7 +123,7 @@ class MetricsRegistry {
   // record under a known name allocates nothing.
   void Reset();
 
-  // Point-in-time copy of everything, for exporters (OpenMetrics, reports)
+  // Point-in-time copy of everything, for readers (tests, the perf bench)
   // that need structured values rather than the JSON string.
   struct TimerSnapshot {
     int64_t count = 0;

@@ -1,22 +1,16 @@
 // Sampling-profiler tests: the zero-cost disabled contract (no SIGPROF
 // handler installed, no samples), hot-function capture and symbolization,
 // innermost-span attribution, ring wraparound drop accounting, the
-// fastt-prof/1 export/parse/diff surfaces, and the blackbox flush of an
-// in-flight profile. Timing-sensitive assertions use generous margins: the
-// sampler ticks on per-thread CPU time, so a loaded machine slows the test
-// down but does not starve it of samples.
+// fastt-prof/1 export/parse/diff surfaces. Timing-sensitive assertions use
+// generous margins: the sampler ticks on per-thread CPU time, so a loaded
+// machine slows the test down but does not starve it of samples.
 #include <gtest/gtest.h>
 
 #include <signal.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
-#include "obs/blackbox.h"
-#include "obs/context.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/prof_export.h"
@@ -174,30 +168,6 @@ TEST_F(ProfilerTest, TinyRingWrapsAndCountsDropsLoudly) {
   EXPECT_EQ(doc.Find("samples")->Find("dropped")->IntOr(0),
             static_cast<int64_t>(dump.samples_dropped));
   EXPECT_NE(RenderProfileTable(prof, 5).find("dropped"), std::string::npos);
-}
-
-TEST_F(ProfilerTest, BlackboxDumpFlushesInFlightProfile) {
-  RegisterProfiledThread("test main");
-  CpuProfilerOptions opts;
-  opts.hz = 1997;
-  ASSERT_TRUE(CpuProfiler::Global().Start(opts));
-  SpinFor(0.15);
-  const std::string path =
-      testing::TempDir() + "/profiler_test_blackbox.json";
-  ASSERT_TRUE(
-      WriteBlackboxDump(path, CurrentTelemetry(), "test", BlackboxOptions{}));
-  // The dump stopped the sampler (a handler firing mid-crash-dump would be
-  // another crash) and folded its samples into the document.
-  EXPECT_FALSE(ProfilingActive());
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  JsonValue doc;
-  ASSERT_TRUE(JsonParse(buf.str(), &doc));
-  const JsonValue* profile = doc.Find("profile");
-  ASSERT_NE(profile, nullptr);
-  EXPECT_GT(profile->Find("samples")->Find("total")->IntOr(0), 0);
-  std::remove(path.c_str());
 }
 
 // ---- fastt-prof/1 export, parse and diff ----------------------------------

@@ -74,10 +74,6 @@
 //                             log for run/analyze) on exit
 //   --report <out.json>       one fastt-report/1 bundle of whatever the
 //                             command ran (metrics + events + command section)
-//   --openmetrics <out.txt>   OpenMetrics/Prometheus text exposition of the
-//                             metrics registry on exit
-//   --blackbox <out.json>     arm the crash black-box: fatal signals and
-//                             std::terminate dump a fastt-blackbox/1 file
 //   --log-level <level>       error|warn|info|debug (or FASTT_LOG_LEVEL)
 //   --trace-search <out.json> (or FASTT_TRACE_SEARCH=path) records the
 //                             strategy search itself as a Chrome trace
@@ -107,14 +103,12 @@
 #include "graph/serialize.h"
 #include "models/model_zoo.h"
 #include "obs/bench_history.h"
-#include "obs/blackbox.h"
 #include "obs/build_info.h"
 #include "obs/calibration.h"
 #include "obs/context.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/openmetrics.h"
 #include "obs/prof_export.h"
 #include "obs/profiler.h"
 #include "obs/report.h"
@@ -143,8 +137,6 @@ struct Args {
   std::string metrics_path;  // --metrics: dump the metrics registry here
   std::string json_path;     // --json: machine-readable analysis output
   std::string report_path;   // --report: fastt-report/1 bundle
-  std::string openmetrics_path;  // --openmetrics: Prometheus exposition
-  std::string blackbox_path;     // --blackbox: arm the crash black-box
   std::string log_level;         // --log-level: error|warn|info|debug
   std::string trace_search_path;  // --trace-search: search Chrome trace
   std::string profile_path;  // --profile: fastt-prof/1 CPU profile output
@@ -191,10 +183,6 @@ Args Parse(int argc, char** argv) {
       args.json_path = next();
     } else if (a == "--report") {
       args.report_path = next();
-    } else if (a == "--openmetrics") {
-      args.openmetrics_path = next();
-    } else if (a == "--blackbox") {
-      args.blackbox_path = next();
     } else if (a == "--log-level") {
       args.log_level = next();
     } else if (a == "--trace-search") {
@@ -237,6 +225,20 @@ Args Parse(int argc, char** argv) {
   return args;
 }
 
+// The one check on the cluster flags, run before any command: MakeCluster
+// splits --gpus evenly across --servers, so any other shape would silently
+// run on a different cluster or trip an internal check.
+bool ValidCluster(const Args& args) {
+  if (args.gpus >= 1 && args.servers >= 1 && args.gpus % args.servers == 0)
+    return true;
+  std::fprintf(stderr,
+               "fastt: bad cluster --gpus %d --servers %d — --gpus and "
+               "--servers must be positive integers and --gpus a multiple "
+               "of --servers\n",
+               args.gpus, args.servers);
+  return false;
+}
+
 Cluster MakeCluster(const Args& args) {
   return args.servers > 1
              ? Cluster::MultiServer(args.servers, args.gpus / args.servers)
@@ -248,15 +250,13 @@ Cluster MakeCluster(const Args& args) {
 // when --report was given (the JSON renders can be sizable).
 using ReportSections = std::vector<std::pair<std::string, std::string>>;
 
-// Shared artifact epilogue honoring the global --metrics, --openmetrics and
-// --report flags; `events` (may be null) is the workflow event log of
-// whatever the command just ran. Reads the ambient registry so a command
-// that ran under a TelemetryScope exports that context's metrics.
+// Shared artifact epilogue honoring the global --metrics and --report
+// flags; `events` (may be null) is the workflow event log of whatever the
+// command just ran. Reads the ambient registry so a command that ran under
+// a TelemetryScope exports that context's metrics.
 void WriteRunArtifacts(const Args& args, const EventLog* events,
                        const ReportSections& sections = {}) {
-  if (args.metrics_path.empty() && args.openmetrics_path.empty() &&
-      args.report_path.empty())
-    return;
+  if (args.metrics_path.empty() && args.report_path.empty()) return;
   MetricsRegistry& metrics = CurrentMetrics();
   PublishSearchPoolMetrics(metrics);
   PublishMemMetrics(metrics);
@@ -265,14 +265,6 @@ void WriteRunArtifacts(const Args& args, const EventLog* events,
       std::printf("wrote metrics to %s\n", args.metrics_path.c_str());
     else
       std::fprintf(stderr, "cannot write %s\n", args.metrics_path.c_str());
-  }
-  if (!args.openmetrics_path.empty()) {
-    if (WriteOpenMetrics(args.openmetrics_path, metrics))
-      std::printf("wrote OpenMetrics exposition to %s\n",
-                  args.openmetrics_path.c_str());
-    else
-      std::fprintf(stderr, "cannot write %s\n",
-                   args.openmetrics_path.c_str());
   }
   if (!args.report_path.empty()) {
     RunReport report(args.command, args.model);
@@ -300,6 +292,23 @@ const ModelSpec* RequireModel(const std::string& name) {
                  "the zoo\n",
                  name.c_str());
   return spec;
+}
+
+// The bootstrap every search-only command starts from, the same one
+// bench_search uses: simulate the data-parallel placement once with
+// measurement noise and calibrate `comp`/`comm` on that run, so the search
+// that follows is the one a `fastt run` pre-training round would do.
+void BootstrapCostModels(const Graph& graph,
+                         const std::vector<DeviceId>& placement,
+                         const Cluster& cluster, CompCostModel* comp,
+                         CommCostModel* comm) {
+  SimOptions so;
+  so.noise_cv = 0.03;
+  so.seed = 11;
+  const RunProfile profile =
+      ExtractProfile(graph, Simulate(graph, placement, cluster, so));
+  comp->AddProfile(profile);
+  comm->AddProfile(profile);
 }
 
 int CmdModels() {
@@ -511,23 +520,13 @@ int CmdSearchProfile(const Args& args) {
   const int64_t batch = args.batch > 0 ? args.batch : spec.strong_batch;
   const Cluster cluster = MakeCluster(args);
 
-  // Same setup as bench_search: a data-parallel bootstrap placement is
-  // simulated once and profiled, so OS-DPOS runs against realistic cost
-  // models — the search being profiled is the one `fastt run` would do each
-  // pre-training round.
   auto dp = BuildDataParallel(spec.build, spec.name, batch,
                               cluster.num_devices(), args.scaling);
   const std::vector<DeviceId> placement = CanonicalDataParallelPlacement(dp);
   const Graph graph = std::move(dp.graph);
-  SimOptions so;
-  so.noise_cv = 0.03;
-  so.seed = 11;
-  const RunProfile profile =
-      ExtractProfile(graph, Simulate(graph, placement, cluster, so));
   CompCostModel comp;
   CommCostModel comm;
-  comp.AddProfile(profile);
-  comm.AddProfile(profile);
+  BootstrapCostModels(graph, placement, cluster, &comp, &comm);
 
   std::printf("search-profile: %s, batch %lld, %s, %d jobs\n",
               spec.name.c_str(), (long long)batch, cluster.ToString().c_str(),
@@ -693,13 +692,7 @@ int CmdMemstat(const Args& args) {
     graph = std::move(dp.graph);
   });
   run_phase("profile", [&] {
-    SimOptions so;
-    so.noise_cv = 0.03;
-    so.seed = 11;
-    const RunProfile profile =
-        ExtractProfile(graph, Simulate(graph, placement, cluster, so));
-    comp.AddProfile(profile);
-    comm.AddProfile(profile);
+    BootstrapCostModels(graph, placement, cluster, &comp, &comm);
   });
   run_phase("search", [&] { os = OsDpos(graph, cluster, comp, comm); });
   run_phase("final-sim", [&] {
@@ -951,13 +944,7 @@ int CmdVerify(const Args& args) {
   } else {
     // No file: verify the strategy a pre-training round would compute —
     // bootstrap-profile the DP placement once, then search with OS-DPOS.
-    SimOptions so;
-    so.noise_cv = 0.03;
-    so.seed = 11;
-    const RunProfile profile =
-        ExtractProfile(graph, Simulate(graph, dp_placement, cluster, so));
-    comp.AddProfile(profile);
-    comm.AddProfile(profile);
+    BootstrapCostModels(graph, dp_placement, cluster, &comp, &comm);
     OsDposResult os = OsDpos(graph, cluster, comp, comm);
     graph = std::move(os.graph);
     strategy = std::move(os.schedule.strategy);
@@ -1056,8 +1043,7 @@ int CmdArena(const Args& args) {
 // `fastt report` — the full workflow inside a fresh TelemetryContext: the
 // tracer and heap tracker run for the whole workflow, every instrumented
 // call site (including pool workers) lands in the request-scoped context,
-// and the richest fastt-report/1 bundle is written at the end. This is the
-// artifact a `fastt serve` request would return.
+// and the richest fastt-report/1 bundle is written at the end.
 int CmdReport(const Args& args) {
   const ModelSpec* specp = RequireModel(args.model);
   if (specp == nullptr) return 2;
@@ -1188,21 +1174,13 @@ int CmdProfile(const Args& args) {
   const int64_t batch = args.batch > 0 ? args.batch : spec.strong_batch;
   const Cluster cluster = MakeCluster(args);
 
-  // Same bootstrap as search-profile: calibrate the cost models against one
-  // simulated data-parallel run so the profiled search is the real one.
   auto dp = BuildDataParallel(spec.build, spec.name, batch,
                               cluster.num_devices(), args.scaling);
   const std::vector<DeviceId> placement = CanonicalDataParallelPlacement(dp);
   const Graph graph = std::move(dp.graph);
-  SimOptions so;
-  so.noise_cv = 0.03;
-  so.seed = 11;
-  const RunProfile profile =
-      ExtractProfile(graph, Simulate(graph, placement, cluster, so));
   CompCostModel comp;
   CommCostModel comm;
-  comp.AddProfile(profile);
-  comm.AddProfile(profile);
+  BootstrapCostModels(graph, placement, cluster, &comp, &comm);
 
   std::printf("profile: %s, batch %lld, %s, %d jobs, %d Hz for >= %.1f s\n",
               spec.name.c_str(), (long long)batch, cluster.ToString().c_str(),
@@ -1361,8 +1339,6 @@ int Usage() {
                "options: every command accepts --jobs N (parallel search;\n"
                "         same strategy as --jobs 1), --metrics <out.json>,\n"
                "         --report <out.json> (fastt-report/1 bundle),\n"
-               "         --openmetrics <out.txt> (Prometheus exposition),\n"
-               "         --blackbox <out.json> (crash dump on fatal signal),\n"
                "         --log-level error|warn|info|debug (or\n"
                "         FASTT_LOG_LEVEL), --trace-search <out.json>\n"
                "         (Chrome trace of the search; also via\n"
@@ -1464,7 +1440,7 @@ int main(int argc, char** argv) {
     }
     SetLogThreshold(level);
   }
-  if (!args.blackbox_path.empty()) InstallBlackbox(args.blackbox_path);
+  if (!ValidCluster(args)) return 2;
   if (args.jobs > 0) SetSearchJobs(args.jobs);
   if (args.trace_search_path.empty()) {
     if (const char* env = std::getenv("FASTT_TRACE_SEARCH");
